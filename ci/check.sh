@@ -123,6 +123,11 @@ for t in 1 4; do
     rm -rf "$serve_log" "$serve_state"
 done
 
+echo "==> end-to-end benchmark tests (smoke run of each workload, serve-result check)"
+# The benchmark is a workspace of its own (e2ebench/Cargo.toml); a crate
+# change that breaks it fails here rather than at the benchmark gate.
+cargo test -q --release --offline --manifest-path e2ebench/Cargo.toml
+
 echo "==> cargo doc --no-deps (warnings are errors; own crates only)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --quiet \
     -p chiron-telemetry -p chiron-tensor -p chiron-nn -p chiron-data \

@@ -27,6 +27,8 @@ use chiron_fedsim::metrics::{EventLog, ResilienceEvent};
 use chiron_fedsim::{EdgeLearningEnv, EnvState, EnvStateError};
 use chiron_nn::write_atomic;
 use serde::{Deserialize, Serialize};
+use std::convert::Infallible;
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 
 /// Run-checkpoint format version; bump on layout changes.
@@ -459,12 +461,40 @@ impl RunCheckpoint {
 }
 
 impl Chiron {
+    /// [`Chiron::train_recoverable_with`] without a boundary hook: the run
+    /// always completes all `episodes` episodes.
+    ///
+    /// # Errors
+    ///
+    /// As [`Chiron::train_recoverable_with`].
+    pub fn train_recoverable(
+        &mut self,
+        env: &mut EdgeLearningEnv,
+        episodes: usize,
+        options: &RecoveryOptions,
+        log: &mut EventLog,
+    ) -> Result<Vec<f64>, ResumeError> {
+        let ControlFlow::Continue(rewards) =
+            self.train_recoverable_with(env, episodes, options, log, |_| {
+                ControlFlow::<Infallible>::Continue(())
+            })?;
+        Ok(rewards)
+    }
+
     /// [`Mechanism::train`](crate::Mechanism::train) with crash safety: the
     /// run checkpoints itself to `options.checkpoint_path` every
     /// `options.checkpoint_every` episodes, and if that file already exists
     /// when training starts, the run resumes from it — skipping the
     /// already-completed episodes and replaying the remainder
     /// bitwise-identically to an uninterrupted run.
+    ///
+    /// The checkpoint is read at most once, when the call starts; from
+    /// then on the run lives in memory and only writes. `boundary` is
+    /// called with the completed episode count once at the start (the
+    /// resumed count, 0 for a fresh run) and again after every checkpoint
+    /// lands. Returning [`ControlFlow::Break`] stops the run there, with
+    /// its latest checkpoint on disk, and the break value is returned; a
+    /// later call with the same options resumes from that checkpoint.
     ///
     /// Resilience events (environment faults, rolled-back PPO updates, the
     /// resume itself) are appended to `log`.
@@ -477,13 +507,14 @@ impl Chiron {
     /// Returns a typed [`ResumeError`] if an existing checkpoint cannot be
     /// loaded/restored or a new one cannot be written. Training never
     /// starts from a checkpoint it could not fully validate.
-    pub fn train_recoverable(
+    pub fn train_recoverable_with<B>(
         &mut self,
         env: &mut EdgeLearningEnv,
         episodes: usize,
         options: &RecoveryOptions,
         log: &mut EventLog,
-    ) -> Result<Vec<f64>, ResumeError> {
+        mut boundary: impl FnMut(usize) -> ControlFlow<B>,
+    ) -> Result<ControlFlow<B, Vec<f64>>, ResumeError> {
         if options.checkpoint_every == 0 {
             return Err(ResumeError::InvalidOptions(
                 "checkpoint interval must be positive".into(),
@@ -513,22 +544,28 @@ impl Chiron {
             } else {
                 (Vec::new(), RolloutBuffer::new(), RolloutBuffer::new())
             };
-
-        while rewards.len() < episodes {
-            let r = self.train_one_episode(env, &mut buf_e, &mut buf_i, Some(log));
-            rewards.push(r);
-            // A checkpoint also lands after the final episode, so a later
-            // call with a larger episode count extends the run seamlessly.
-            if rewards.len().is_multiple_of(options.checkpoint_every) || rewards.len() == episodes {
-                let _ckpt_span = chiron_telemetry::span("checkpoint_save");
-                let ckpt = RunCheckpoint::capture(self, env, &rewards, &buf_e, &buf_i)
-                    .map_err(ResumeError::Env)?;
-                ckpt.save_rotating(&options.checkpoint_path)
-                    .map_err(ResumeError::Io)?;
-                CHECKPOINTS_SAVED.add(1);
+        let every = options.checkpoint_every;
+        loop {
+            if let ControlFlow::Break(stop) = boundary(rewards.len()) {
+                return Ok(ControlFlow::Break(stop));
             }
+            if rewards.len() >= episodes {
+                return Ok(ControlFlow::Continue(rewards));
+            }
+            // Train to the next checkpoint. One also lands after the final
+            // episode, so a later call with a larger episode count extends
+            // the run seamlessly.
+            let next = ((rewards.len() / every + 1) * every).min(episodes);
+            while rewards.len() < next {
+                rewards.push(self.train_one_episode(env, &mut buf_e, &mut buf_i, Some(log)));
+            }
+            let _ckpt_span = chiron_telemetry::span("checkpoint_save");
+            let ckpt = RunCheckpoint::capture(self, env, &rewards, &buf_e, &buf_i)
+                .map_err(ResumeError::Env)?;
+            ckpt.save_rotating(&options.checkpoint_path)
+                .map_err(ResumeError::Io)?;
+            CHECKPOINTS_SAVED.add(1);
         }
-        Ok(rewards)
     }
 }
 

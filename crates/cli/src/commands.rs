@@ -14,6 +14,7 @@ use chiron_serve::{shutdown, Daemon, ServeConfig, ServeError};
 use chiron_telemetry::{RuntimeConfig, TelemetrySession};
 use chiron_tensor::scope;
 use serde::{Deserialize, Serialize};
+use std::ops::ControlFlow;
 
 /// A fully specified experiment, loadable from JSON (`run --config`).
 ///
@@ -255,15 +256,11 @@ impl From<std::io::Error> for CliError {
 }
 
 fn dataset_from(name: &str) -> Result<DatasetKind, CliError> {
-    match name {
-        "mnist" => Ok(DatasetKind::MnistLike),
-        "fashion" | "fashion-mnist" => Ok(DatasetKind::FashionLike),
-        "cifar" | "cifar-10" | "cifar10" => Ok(DatasetKind::Cifar10Like),
-        "tiny" => Ok(DatasetKind::Tiny),
-        other => Err(CliError::Invalid(format!(
-            "unknown dataset '{other}' (expected mnist | fashion | cifar | tiny)"
-        ))),
-    }
+    DatasetKind::from_name(name).ok_or_else(|| {
+        CliError::Invalid(format!(
+            "unknown dataset '{name}' (expected mnist | fashion | cifar | tiny)"
+        ))
+    })
 }
 
 fn build_env(
@@ -407,23 +404,26 @@ pub fn train(args: &ParsedArgs, rt: &RuntimeConfig) -> Result<(), CliError> {
     let mut mech = Chiron::new(&env, ChironConfig::paper(), seed);
     let t0 = std::time::Instant::now();
     let rewards = match args.options.get("checkpoint") {
-        Some(path) => match train_checkpointed(&mut mech, &mut env, episodes, chunk, path) {
-            Ok(rewards) => rewards,
-            Err(TrainStop::Recovery(source)) => {
-                return Err(CliError::Recovery {
-                    path: path.clone(),
-                    source,
-                });
+        Some(path) => {
+            let recovery = |source| CliError::Recovery {
+                path: path.clone(),
+                source,
+            };
+            let log = &mut EventLog::new();
+            match train_checkpointed(&mut mech, &mut env, episodes, chunk, path, log)
+                .map_err(recovery)?
+            {
+                ControlFlow::Continue(rewards) => rewards,
+                ControlFlow::Break(done) => {
+                    println!(
+                        "interrupt received: checkpoint flushed at episode {done} ({path}); \
+                         re-run the same command to resume"
+                    );
+                    finish_telemetry(telemetry)?;
+                    return Err(CliError::Interrupted);
+                }
             }
-            Err(TrainStop::Interrupted(done)) => {
-                println!(
-                    "interrupt received: checkpoint flushed at episode {done} ({path}); \
-                     re-run the same command to resume"
-                );
-                finish_telemetry(telemetry)?;
-                return Err(CliError::Interrupted);
-            }
-        },
+        }
         None => {
             // Episode boundaries are exact PPO-update boundaries (buffers
             // are empty there), so training in chunks is bitwise-identical
@@ -475,40 +475,26 @@ pub fn train(args: &ParsedArgs, rt: &RuntimeConfig) -> Result<(), CliError> {
     finish_telemetry(telemetry)
 }
 
-/// Why checkpointed training stopped before completing its episodes.
-enum TrainStop {
-    /// The recovery layer failed (load, restore, or save).
-    Recovery(ResumeError),
-    /// A shutdown signal arrived; the checkpoint at this episode count is
-    /// flushed.
-    Interrupted(usize),
-}
-
-/// Drives `train_recoverable` in chunks of `chunk` episodes so shutdown
-/// signals are honoured at checkpoint boundaries. Resumes automatically
-/// if `path` already holds a checkpoint.
+/// Trains all `episodes` in one `train_recoverable_with` call that saves
+/// every `every` episodes, resuming first if `path` already holds a
+/// checkpoint. A shutdown signal stops the run at the next checkpoint
+/// boundary, breaking with the episode count flushed there.
 fn train_checkpointed(
     mech: &mut Chiron,
     env: &mut EdgeLearningEnv,
     episodes: usize,
-    chunk: usize,
+    every: usize,
     path: &str,
-) -> Result<Vec<f64>, TrainStop> {
-    let options = RecoveryOptions::try_new(path, chunk).map_err(TrainStop::Recovery)?;
-    let mut log = EventLog::new();
-    let mut rewards = Vec::new();
-    let mut done = 0usize;
-    while done < episodes {
-        if shutdown::requested() {
-            return Err(TrainStop::Interrupted(done));
+    log: &mut EventLog,
+) -> Result<ControlFlow<usize, Vec<f64>>, ResumeError> {
+    let options = RecoveryOptions::try_new(path, every)?;
+    mech.train_recoverable_with(env, episodes, &options, log, |done| {
+        if done < episodes && shutdown::requested() {
+            ControlFlow::Break(done)
+        } else {
+            ControlFlow::Continue(())
         }
-        let target = (done + chunk).min(episodes);
-        rewards = mech
-            .train_recoverable(env, target, &options, &mut log)
-            .map_err(TrainStop::Recovery)?;
-        done = rewards.len();
-    }
-    Ok(rewards)
+    })
 }
 
 /// `chiron-cli serve` — runs the fault-tolerant mechanism-as-a-service
@@ -850,33 +836,16 @@ pub fn compare(args: &ParsedArgs, rt: &RuntimeConfig) -> Result<(), CliError> {
 
     // Each mechanism trains and evaluates in its own envs, so the cells
     // run as one coarse scope; rows join in the requested id order.
-    fn cell(
-        mech: &mut dyn Mechanism,
-        kind: DatasetKind,
-        nodes: usize,
-        budget: f64,
-        episodes: usize,
-        seed: u64,
-        rt: &RuntimeConfig,
-    ) -> Result<(String, EpisodeSummary), CliError> {
-        let mut env = build_env(kind, nodes, budget, seed, rt)?;
-        mech.train(&mut env, episodes);
-        let mut env = build_env(kind, nodes, budget, seed, rt)?;
-        let (summary, _) = mech.run_episode(&mut env);
-        Ok((mech.name(), summary))
-    }
-    type CellResult = Result<(String, EpisodeSummary), CliError>;
-    let results: Vec<CellResult> = scope::scope("cli.compare", |s| {
-        let tasks: Vec<Box<dyn FnOnce() -> CellResult + Send + '_>> = mechanisms
-            .iter_mut()
-            .map(|mech| {
-                Box::new(move || cell(mech.as_mut(), kind, nodes, budget, episodes, seed, rt))
-                    as Box<dyn FnOnce() -> CellResult + Send + '_>
-            })
-            .collect();
-        s.run(tasks)
+    let results = scope::scope("cli.compare", |s| {
+        s.map_mut(&mut mechanisms, |_, mech| {
+            let mut env = build_env(kind, nodes, budget, seed, rt)?;
+            mech.train(&mut env, episodes);
+            let mut env = build_env(kind, nodes, budget, seed, rt)?;
+            let (summary, _) = mech.run_episode(&mut env);
+            Ok((mech.name(), summary))
+        })
     });
-    let rows: Vec<(String, EpisodeSummary)> = results.into_iter().collect::<Result<Vec<_>, _>>()?;
+    let rows = results.into_iter().collect::<Result<Vec<_>, CliError>>()?;
 
     println!(
         "{:<12} {:>9} {:>7} {:>10} {:>10} {:>9}",
@@ -1025,6 +994,31 @@ mod tests {
         eval(&args, &rt()).expect("eval runs");
         let csv = std::fs::read_to_string(&trace).expect("trace written");
         assert!(csv.starts_with("round,accuracy"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn checkpointed_train_reads_its_checkpoint_only_to_resume() {
+        let dir = std::env::temp_dir().join("chiron_cli_checkpoint");
+        std::fs::create_dir_all(&dir).expect("tmp");
+        let path = dir.join("run.json");
+        chiron::RunCheckpoint::remove(&path).expect("clean slate");
+        let run = |episodes, log: &mut EventLog| {
+            let mut env = build_env(DatasetKind::Tiny, 3, 20.0, 7, &rt()).expect("env");
+            let mut mech = Chiron::new(&env, ChironConfig::fast(), 7);
+            let path = path.to_str().expect("utf8 path");
+            match train_checkpointed(&mut mech, &mut env, episodes, 1, path, log) {
+                Ok(ControlFlow::Continue(rewards)) => rewards,
+                other => panic!("checkpointed run did not complete: {other:?}"),
+            }
+        };
+        let mut log = EventLog::new();
+        let head = run(4, &mut log);
+        assert_eq!(log.count("resumed"), 0, "a healthy run never resumes");
+        let mut log = EventLog::new();
+        let tail = run(6, &mut log);
+        assert_eq!(log.count("resumed"), 1, "a re-run resumes once");
+        assert_eq!(tail[..4], head[..]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

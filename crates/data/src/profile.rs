@@ -22,6 +22,20 @@ impl DatasetKind {
         DatasetKind::FashionLike,
         DatasetKind::Cifar10Like,
     ];
+
+    /// Parses a dataset name as the CLI and the serve API accept it:
+    /// `mnist`, `fashion` (or `fashion-mnist`), `cifar` (or `cifar-10`,
+    /// `cifar10`) and `tiny`.
+    #[must_use]
+    pub fn from_name(name: &str) -> Option<Self> {
+        match name {
+            "mnist" => Some(DatasetKind::MnistLike),
+            "fashion" | "fashion-mnist" => Some(DatasetKind::FashionLike),
+            "cifar" | "cifar-10" | "cifar10" => Some(DatasetKind::Cifar10Like),
+            "tiny" => Some(DatasetKind::Tiny),
+            _ => None,
+        }
+    }
 }
 
 impl std::fmt::Display for DatasetKind {

@@ -1,11 +1,12 @@
 //! Deterministic fault injection for the serve layer.
 //!
 //! A [`FaultPlan`] is a seeded list of faults the supervisor consults at
-//! well-defined points of a job's execution (chunk boundaries — the same
-//! places deadlines and cancellation are checked). Every fault fires at
-//! most once, at a position fixed by the plan rather than by wall-clock
-//! timing, so a chaos run is exactly reproducible: same plan + same seed
-//! → same kill point → same resume point → bitwise-identical results.
+//! well-defined points of a job's execution (supervision boundaries,
+//! right after a checkpoint lands — the same places deadlines and
+//! cancellation are checked). Every fault fires at most once, at a
+//! position fixed by the plan rather than by wall-clock timing, so a
+//! chaos run is exactly reproducible: same plan + same seed → same kill
+//! point → same resume point → bitwise-identical results.
 //!
 //! The plan is a test-only hook in spirit, but it lives in the production
 //! crate (not under `#[cfg(test)]`) so integration tests and the chaos CI
@@ -33,7 +34,7 @@ pub enum Fault {
     CheckpointIoError {
         /// Target job id.
         job: u64,
-        /// Sabotage the chunk whose checkpoint covers this episode.
+        /// Sabotage the first checkpoint save that covers this episode.
         at_episode: usize,
     },
     /// Sleep `delay_ms` at the job's first supervision boundary,
@@ -106,17 +107,17 @@ impl FaultPlan {
         }
     }
 
-    /// Whether the checkpoint write covering episodes up to `chunk_end`
+    /// Whether the checkpoint write covering episodes up to `save_at`
     /// of `job` should be sabotaged. Consumes the fault.
     #[must_use]
-    pub fn sabotage_checkpoint(&self, job: u64, chunk_end: usize) -> bool {
+    pub fn sabotage_checkpoint(&self, job: u64, save_at: usize) -> bool {
         for (fault, fired) in &self.faults {
             if let Fault::CheckpointIoError {
                 job: target,
                 at_episode,
             } = *fault
             {
-                if target == job && chunk_end >= at_episode && !fired.swap(true, Ordering::SeqCst) {
+                if target == job && save_at >= at_episode && !fired.swap(true, Ordering::SeqCst) {
                     return true;
                 }
             }

@@ -59,10 +59,7 @@ impl Daemon {
     fn start_inner(cfg: ServeConfig, chaos: Option<FaultPlan>) -> Result<Self, ServeError> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
-        let supervisor = Arc::new(match chaos {
-            Some(plan) => Supervisor::start_with_chaos(cfg, plan)?,
-            None => Supervisor::start(cfg)?,
-        });
+        let supervisor = Arc::new(Supervisor::start_inner(cfg, chaos)?);
         let stop = Arc::new(AtomicBool::new(false));
         let accept_thread = {
             let supervisor = Arc::clone(&supervisor);
@@ -144,12 +141,13 @@ fn handle_connection(stream: &mut TcpStream, supervisor: &Supervisor, stop: &Ato
     let request = match read_request(stream) {
         Ok(request) => request,
         Err(ParseError::Io(_)) => return, // timeout/reset: nothing to answer
-        Err(e @ ParseError::Malformed(_)) => {
-            let _ = write_json(stream, 400, &error_body(&e.to_string()));
-            return;
-        }
-        Err(e @ ParseError::TooLarge(_)) => {
-            let _ = write_json(stream, 413, &error_body(&e.to_string()));
+        Err(e) => {
+            let status = if matches!(e, ParseError::TooLarge(_)) {
+                413
+            } else {
+                400
+            };
+            let _ = write_error(stream, status, &e.to_string());
             return;
         }
     };
@@ -166,20 +164,15 @@ fn respond(
     match (request.method.as_str(), path) {
         ("POST", "/jobs") => {
             let Ok(text) = std::str::from_utf8(&request.body) else {
-                return write_json(stream, 400, &error_body("job body must be UTF-8 JSON"));
+                return write_error(stream, 400, "job body must be UTF-8 JSON");
             };
             let spec: JobSpec = match serde_json::from_str(text) {
                 Ok(spec) => spec,
-                Err(e) => {
-                    return write_json(stream, 400, &error_body(&format!("invalid job JSON: {e}")))
-                }
+                Err(e) => return write_error(stream, 400, &format!("invalid job JSON: {e}")),
             };
             match supervisor.submit(spec) {
                 Ok(id) => write_json(stream, 202, &format!("{{\"id\":{id}}}")),
-                Err(e) => {
-                    let status = status_for(&e);
-                    write_json(stream, status, &error_body(&e.to_string()))
-                }
+                Err(e) => write_error(stream, status_for(&e), &e.to_string()),
             }
         }
         ("GET", "/healthz") => {
@@ -210,9 +203,9 @@ fn respond(
                     let body = serde_json::to_string(&view).unwrap_or_else(|_| "{}".into());
                     write_json(stream, 200, &body)
                 }
-                None => write_json(stream, 404, &error_body(&format!("unknown job {id}"))),
+                None => write_error(stream, 404, &format!("unknown job {id}")),
             },
-            None => write_json(stream, 400, &error_body("job id must be an integer")),
+            None => write_error(stream, 400, "job id must be an integer"),
         },
         ("DELETE", _) if path.starts_with("/jobs/") => match parse_id(path) {
             Some(id) => match supervisor.cancel(id) {
@@ -224,15 +217,15 @@ fn respond(
                         serde_json::to_string(&state).unwrap_or_else(|_| "null".into())
                     ),
                 ),
-                Err(e) => write_json(stream, status_for(&e), &error_body(&e.to_string())),
+                Err(e) => write_error(stream, status_for(&e), &e.to_string()),
             },
-            None => write_json(stream, 400, &error_body("job id must be an integer")),
+            None => write_error(stream, 400, "job id must be an integer"),
         },
         ("POST" | "DELETE" | "PUT" | "PATCH", "/healthz" | "/metrics")
         | ("GET" | "PUT" | "PATCH", "/jobs" | "/shutdown") => {
-            write_json(stream, 405, &error_body("method not allowed"))
+            write_error(stream, 405, "method not allowed")
         }
-        _ => write_json(stream, 404, &error_body("no such route")),
+        _ => write_error(stream, 404, "no such route"),
     }
 }
 
@@ -251,11 +244,10 @@ fn status_for(e: &ServeError) -> u16 {
     }
 }
 
-fn error_body(message: &str) -> String {
-    format!(
-        "{{\"error\":{}}}",
-        serde_json::to_string(&message.to_owned()).unwrap_or_else(|_| "\"error\"".into())
-    )
+/// Answers with `{"error": message}`.
+fn write_error(stream: &mut TcpStream, status: u16, message: &str) -> std::io::Result<()> {
+    let message = serde_json::to_string(&message).unwrap_or_else(|_| "\"error\"".into());
+    write_json(stream, status, &format!("{{\"error\":{message}}}"))
 }
 
 /// Prometheus exposition: the telemetry layer's aggregates (empty while

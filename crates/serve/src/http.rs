@@ -54,25 +54,38 @@ impl std::error::Error for ParseError {
 
 /// Reads and parses one request from the stream.
 ///
+/// The head is read in chunks of up to 1 KiB until `\r\n\r\n`; body bytes
+/// that arrive with it are kept, and only the rest of the body is read
+/// after it.
+///
 /// # Errors
 ///
-/// [`ParseError::Io`] on socket failure or timeout, `Malformed` on a
-/// broken request line, `TooLarge` when a bound is exceeded.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, ParseError> {
-    let mut head = Vec::with_capacity(512);
-    let mut byte = [0u8; 1];
-    // Byte-at-a-time until CRLFCRLF: request heads are tiny and this keeps
-    // the body boundary exact without buffering past it.
-    while !head.ends_with(b"\r\n\r\n") {
-        if head.len() >= MAX_HEAD_BYTES {
+/// [`ParseError::Io`] on socket failure, timeout or a truncated body,
+/// `Malformed` on a broken request line, a non-UTF-8 head or a duplicate
+/// or non-numeric `Content-Length`, and `TooLarge` when a bound is
+/// exceeded.
+pub fn read_request(stream: &mut impl Read) -> Result<Request, ParseError> {
+    let mut buf = Vec::with_capacity(1024);
+    let mut scanned = 0;
+    let head_len = loop {
+        if let Some(at) = buf[scanned..].windows(4).position(|w| w == b"\r\n\r\n") {
+            break scanned + at + 4;
+        }
+        // The terminator may straddle this read and the next.
+        scanned = buf.len().saturating_sub(3);
+        if buf.len() >= MAX_HEAD_BYTES {
             return Err(ParseError::TooLarge("request head"));
         }
-        match stream.read(&mut byte).map_err(ParseError::Io)? {
-            0 => return Err(ParseError::Malformed("connection closed mid-head")),
-            _ => head.push(byte[0]),
+        let filled = buf.len();
+        buf.resize((filled + 1024).min(MAX_HEAD_BYTES), 0);
+        match stream.read(&mut buf[filled..]) {
+            Ok(0) => return Err(ParseError::Malformed("connection closed mid-head")),
+            Ok(n) => buf.truncate(filled + n),
+            Err(e) => return Err(ParseError::Io(e)),
         }
-    }
-    let head_text = String::from_utf8_lossy(&head);
+    };
+    let head_text = std::str::from_utf8(&buf[..head_len])
+        .map_err(|_| ParseError::Malformed("request head is not UTF-8"))?;
     let mut lines = head_text.split("\r\n");
     let request_line = lines.next().unwrap_or("");
     let mut parts = request_line.split_whitespace();
@@ -85,22 +98,31 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, ParseError> {
         .ok_or(ParseError::Malformed("missing request target"))?;
     let path = target.split('?').next().unwrap_or(target).to_owned();
 
-    let mut content_length = 0usize;
+    let mut content_length = None;
     for line in lines {
         if let Some((name, value)) = line.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .trim()
-                    .parse()
-                    .map_err(|_| ParseError::Malformed("bad content-length"))?;
+                let value = value.trim();
+                let digits = !value.is_empty() && value.bytes().all(|b| b.is_ascii_digit());
+                if !digits || content_length.is_some() {
+                    return Err(ParseError::Malformed("bad or duplicate content-length"));
+                }
+                // All digits, so a failed parse is an overflow.
+                content_length = Some(value.parse().unwrap_or(usize::MAX));
             }
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
         return Err(ParseError::TooLarge("request body"));
     }
-    let mut body = vec![0u8; content_length];
-    stream.read_exact(&mut body).map_err(ParseError::Io)?;
+    let mut body = buf.split_off(head_len);
+    body.truncate(content_length);
+    let arrived = body.len();
+    body.resize(content_length, 0);
+    stream
+        .read_exact(&mut body[arrived..])
+        .map_err(ParseError::Io)?;
     Ok(Request { method, path, body })
 }
 
@@ -153,28 +175,16 @@ fn reason_phrase(status: u16) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::{TcpListener, TcpStream};
 
-    fn round_trip(raw: &[u8]) -> Result<Request, ParseError> {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let raw = raw.to_vec();
-        let writer = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).expect("connect");
-            s.write_all(&raw).expect("send");
-        });
-        let (mut conn, _) = listener.accept().expect("accept");
-        let parsed = read_request(&mut conn);
-        writer.join().expect("writer thread");
-        parsed
+    fn parse(raw: &[u8]) -> Result<Request, ParseError> {
+        read_request(&mut &raw[..])
     }
 
     #[test]
     fn parses_request_with_body_and_query() {
-        let req = round_trip(
-            b"POST /jobs?priority=high HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd",
-        )
-        .expect("parse");
+        let req =
+            parse(b"POST /jobs?priority=high HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd")
+                .expect("parse");
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/jobs", "query string is stripped");
         assert_eq!(req.body, b"abcd");
@@ -182,7 +192,7 @@ mod tests {
 
     #[test]
     fn parses_bodyless_get() {
-        let req = round_trip(b"GET /healthz HTTP/1.1\r\n\r\n").expect("parse");
+        let req = parse(b"GET /healthz HTTP/1.1\r\n\r\n").expect("parse");
         assert_eq!(req.method, "GET");
         assert_eq!(req.path, "/healthz");
         assert!(req.body.is_empty());
@@ -190,16 +200,13 @@ mod tests {
 
     #[test]
     fn rejects_malformed_and_oversized() {
-        assert!(matches!(
-            round_trip(b"\r\n\r\n"),
-            Err(ParseError::Malformed(_))
-        ));
+        assert!(matches!(parse(b"\r\n\r\n"), Err(ParseError::Malformed(_))));
         let huge = format!(
             "POST /jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
             MAX_BODY_BYTES + 1
         );
         assert!(matches!(
-            round_trip(huge.as_bytes()),
+            parse(huge.as_bytes()),
             Err(ParseError::TooLarge(_))
         ));
     }

@@ -9,6 +9,7 @@
 //! only at the display boundary.
 
 use chiron::ResumeError;
+use chiron_data::DatasetKind;
 use serde::{Deserialize, Serialize};
 
 /// What a submitted job runs.
@@ -131,13 +132,11 @@ impl JobSpec {
     /// constraint.
     pub fn validate(&self) -> Result<(), ServeError> {
         let invalid = |msg: String| Err(ServeError::InvalidSpec(msg));
-        match self.dataset.as_str() {
-            "mnist" | "fashion" | "fashion-mnist" | "cifar" | "cifar-10" | "cifar10" | "tiny" => {}
-            other => {
-                return invalid(format!(
-                    "unknown dataset '{other}' (expected mnist | fashion | cifar | tiny)"
-                ))
-            }
+        if DatasetKind::from_name(&self.dataset).is_none() {
+            return invalid(format!(
+                "unknown dataset '{}' (expected mnist | fashion | cifar | tiny)",
+                self.dataset
+            ));
         }
         if self.nodes == 0 {
             return invalid("nodes must be at least 1".into());

@@ -2,11 +2,11 @@
 //!
 //! [`install`] registers a minimal `extern "C"` handler (via the libc
 //! `signal` symbol every Unix process already links) that flips one
-//! process-global atomic flag. Long-running loops — CLI training between
-//! episodes, the serve supervisor between chunks — poll [`requested`] at
-//! their natural boundaries, flush a final checkpoint plus telemetry, and
-//! exit with [`EXIT_INTERRUPTED`] so scripts can distinguish an
-//! interrupted run from a failed one.
+//! process-global atomic flag. Long-running loops — CLI training at its
+//! episode or checkpoint boundaries, the `serve` command's wait loop —
+//! poll [`requested`] at their natural boundaries, flush a final
+//! checkpoint plus telemetry, and exit with [`EXIT_INTERRUPTED`] so
+//! scripts can distinguish an interrupted run from a failed one.
 //!
 //! On non-Unix targets everything compiles to a no-op flag that only
 //! tests can set.

@@ -10,18 +10,20 @@
 //!   errors re-queue the job after a deterministic exponential backoff
 //!   (see [`ServeConfig::backoff_ms`]); permanent failures (bad spec,
 //!   deadline) fail the job immediately.
-//! - **Training is resumable.** Train jobs run through
-//!   `Chiron::train_recoverable` in chunks of `checkpoint_every`
-//!   episodes. Every chunk boundary is a supervision point: cancellation,
-//!   drain, and deadlines are checked there, and a checkpoint is already
-//!   on disk — so a retry (or a daemon restart pointed at the same state
-//!   directory) resumes bitwise-identically to an uninterrupted run.
+//! - **Training is resumable.** Each attempt of a train job is one
+//!   `Chiron::train_recoverable_with` call: it reads the job's checkpoint
+//!   at most once, when it starts, and then saves every `checkpoint_every`
+//!   episodes. The run passes a supervision boundary when it starts and
+//!   after each save lands (where chaos faults fire): cancellation, drain,
+//!   and deadlines are checked there, with a checkpoint already on disk
+//!   past the start — so a retry (or a daemon restart pointed at the same
+//!   state directory) resumes bitwise-identically to an uninterrupted run.
 //! - **Deadlines are enforced at boundaries,** never pre-emptively, so an
 //!   evicted job still leaves a valid checkpoint behind.
 
 use crate::chaos::FaultPlan;
 use crate::config::ServeConfig;
-use crate::job::{JobError, JobResult, JobSpec, JobState, Priority, ServeError};
+use crate::job::{JobError, JobKind, JobResult, JobSpec, JobState, Priority, ServeError};
 use crate::queue::BoundedQueue;
 use chiron::{Chiron, ChironConfig, EpisodeRun, RecoveryOptions, RunCheckpoint};
 use chiron_data::DatasetKind;
@@ -30,6 +32,7 @@ use chiron_fedsim::{EdgeLearningEnv, EnvConfig};
 use chiron_telemetry::{Counter, Histogram};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -121,6 +124,16 @@ impl Shared {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// Waits on the condvar while `busy` holds, at most `timeout`.
+    fn wait_while(
+        &self,
+        timeout: Duration,
+        busy: impl FnMut(&mut SupState) -> bool,
+    ) -> MutexGuard<'_, SupState> {
+        let waited = self.cv.wait_timeout_while(self.lock(), timeout, busy);
+        waited.unwrap_or_else(PoisonError::into_inner).0
+    }
+
     fn backoff_seed(&self) -> u64 {
         self.chaos.as_ref().map_or(0x5e4e_5eed, FaultPlan::seed)
     }
@@ -154,7 +167,10 @@ impl Supervisor {
         Self::start_inner(cfg, Some(chaos))
     }
 
-    fn start_inner(cfg: ServeConfig, chaos: Option<FaultPlan>) -> Result<Self, ServeError> {
+    pub(crate) fn start_inner(
+        cfg: ServeConfig,
+        chaos: Option<FaultPlan>,
+    ) -> Result<Self, ServeError> {
         std::fs::create_dir_all(&cfg.state_dir)?;
         let shared = Arc::new(Shared {
             state: Mutex::new(SupState {
@@ -211,7 +227,6 @@ impl Supervisor {
         st.stats.admitted += 1;
         ADMITTED.add(1);
         let depth = st.queue.depth();
-        st.stats.queue_depth = depth;
         st.stats.peak_queue_depth = st.stats.peak_queue_depth.max(depth);
         QUEUE_DEPTH.record(depth as f64);
         st.jobs.insert(
@@ -266,7 +281,6 @@ impl Supervisor {
             job.state = JobState::Cancelled;
             st.queue.remove(id);
             st.stats.cancelled += 1;
-            st.stats.queue_depth = st.queue.depth();
             JobState::Cancelled
         };
         drop(st);
@@ -274,7 +288,8 @@ impl Supervisor {
         Ok(state)
     }
 
-    /// The mirrored counters (live even with telemetry disabled).
+    /// The mirrored counters (live even with telemetry disabled). Queue
+    /// depth, in-flight count and the drain flag are read at call time.
     #[must_use]
     pub fn stats(&self) -> ServeStats {
         let st = self.shared.lock();
@@ -291,63 +306,27 @@ impl Supervisor {
     /// [`JobState::is_terminal`].
     #[must_use]
     pub fn wait(&self, id: u64, timeout: Duration) -> Option<JobState> {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.shared.lock();
-        loop {
-            let state = st.jobs.get(&id)?.state.clone();
-            if state.is_terminal() {
-                return Some(state);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Some(state);
-            }
-            st = self
-                .shared
-                .cv
-                .wait_timeout(st, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
-        }
+        let st = self.shared.wait_while(timeout, |st| {
+            st.jobs.get(&id).is_some_and(|job| !job.state.is_terminal())
+        });
+        st.jobs.get(&id).map(|job| job.state.clone())
     }
 
     /// Begins a drain: no new submissions are accepted, and running jobs
     /// park at their next supervision boundary (checkpoint already
     /// flushed). Idempotent.
     pub fn drain(&self) {
-        let mut st = self.shared.lock();
-        st.draining = true;
-        st.stats.draining = true;
-        drop(st);
+        self.shared.lock().draining = true;
         self.shared.cv.notify_all();
     }
 
     /// Drains, waits for in-flight work to park (bounded by `timeout`),
-    /// stops the workers, and joins them. Queued jobs stay checkpointed
-    /// in the state directory for a future daemon to resume.
-    pub fn shutdown(mut self, timeout: Duration) {
+    /// stops the workers, and joins them (the drop does that). Queued jobs
+    /// stay checkpointed in the state directory for a future daemon to
+    /// resume.
+    pub fn shutdown(self, timeout: Duration) {
         self.drain();
-        let deadline = Instant::now() + timeout;
-        {
-            let mut st = self.shared.lock();
-            while st.inflight > 0 {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                st = self
-                    .shared
-                    .cv
-                    .wait_timeout(st, deadline - now)
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .0;
-            }
-            st.stopping = true;
-        }
-        self.shared.cv.notify_all();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
+        drop(self.shared.wait_while(timeout, |st| st.inflight > 0));
     }
 }
 
@@ -378,7 +357,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             return; // stopping
         };
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            run_attempt(shared, id, &spec, attempt, first_started, deadline_ms)
+            run_attempt(shared, id, &spec, first_started, deadline_ms)
         }))
         .unwrap_or_else(|payload| Err(JobError::Panicked(panic_message(&*payload))));
         settle(shared, id, attempt, spec.priority(), outcome);
@@ -423,7 +402,6 @@ fn next_job(shared: &Arc<Shared>) -> Option<(u64, JobSpec, usize, Instant, Optio
         .queue
         .pop_ready(Instant::now())
         .expect("has_ready guaranteed a runnable entry");
-    st.stats.queue_depth = st.queue.depth();
     QUEUE_DEPTH.record(st.queue.depth() as f64);
     st.inflight += 1;
     let job = st
@@ -498,50 +476,44 @@ fn settle(
                 }
             }
         }
-        st.stats.queue_depth = st.queue.depth();
         st.stats.peak_queue_depth = st.stats.peak_queue_depth.max(st.queue.depth());
     }
     drop(st);
     shared.cv.notify_all();
 }
 
-/// Checks cancellation, drain, and the deadline at a supervision boundary.
-/// Returns `Ok(true)` when the job should park.
-fn boundary_gate(
+/// A supervision boundary: chaos faults fire (given the episode count in
+/// `chaos_at`), then cancellation, drain and the deadline are checked.
+/// Breaks with the attempt's outcome when the job must stop here.
+fn boundary(
     shared: &Shared,
     id: u64,
+    chaos_at: Option<usize>,
     first_started: Instant,
     deadline_ms: Option<u64>,
-) -> Result<bool, JobError> {
+) -> ControlFlow<Result<AttemptOutcome, JobError>> {
+    if let (Some(chaos), Some(done)) = (&shared.chaos, chaos_at) {
+        chaos.on_boundary(id, done);
+    }
     {
         let st = shared.lock();
         if st.jobs.get(&id).is_some_and(|j| j.cancel_requested) {
-            return Err(JobError::Cancelled);
+            return ControlFlow::Break(Err(JobError::Cancelled));
         }
         if st.draining || st.stopping {
-            return Ok(true);
+            return ControlFlow::Break(Ok(AttemptOutcome::Parked));
         }
     }
     if let Some(deadline_ms) = deadline_ms {
         let elapsed_ms = first_started.elapsed().as_millis() as u64;
         if elapsed_ms > deadline_ms {
-            return Err(JobError::DeadlineExceeded {
+            return ControlFlow::Break(Err(JobError::DeadlineExceeded {
                 elapsed_ms,
                 deadline_ms,
-            });
+            }));
         }
     }
-    Ok(false)
-}
-
-fn dataset_kind(name: &str) -> Result<DatasetKind, JobError> {
-    match name {
-        "mnist" => Ok(DatasetKind::MnistLike),
-        "fashion" | "fashion-mnist" => Ok(DatasetKind::FashionLike),
-        "cifar" | "cifar-10" | "cifar10" => Ok(DatasetKind::Cifar10Like),
-        "tiny" => Ok(DatasetKind::Tiny),
-        other => Err(JobError::Invalid(format!("unknown dataset '{other}'"))),
-    }
+    ControlFlow::Continue(())
 }
 
 /// Runs one attempt of a job end to end. Panics inside are caught by the
@@ -550,12 +522,12 @@ fn run_attempt(
     shared: &Shared,
     id: u64,
     spec: &JobSpec,
-    attempt: usize,
     first_started: Instant,
     deadline_ms: Option<u64>,
 ) -> Result<AttemptOutcome, JobError> {
     let seed = spec.seed();
-    let kind = dataset_kind(&spec.dataset)?;
+    let kind = DatasetKind::from_name(&spec.dataset)
+        .ok_or_else(|| JobError::Invalid(format!("unknown dataset '{}'", spec.dataset)))?;
     let mut env_cfg = EnvConfig::paper_small(kind, spec.budget);
     env_cfg.fleet.nodes = spec.nodes;
     let mut env =
@@ -567,16 +539,11 @@ fn run_attempt(
     let mut mechanism = Chiron::new(&env, chiron_cfg, seed);
 
     let rewards = match spec.kind {
-        crate::job::JobKind::Eval => {
-            if boundary_gate(shared, id, first_started, deadline_ms)? {
-                return Ok(AttemptOutcome::Parked);
-            }
-            if let Some(chaos) = &shared.chaos {
-                chaos.on_boundary(id, 0);
-            }
-            Vec::new()
-        }
-        crate::job::JobKind::Train => {
+        JobKind::Eval => match boundary(shared, id, Some(0), first_started, deadline_ms) {
+            ControlFlow::Continue(()) => Vec::new(),
+            ControlFlow::Break(outcome) => return outcome,
+        },
+        JobKind::Train => {
             let episodes = spec
                 .episodes
                 .ok_or_else(|| JobError::Invalid("train jobs need episodes".into()))?;
@@ -588,45 +555,47 @@ fn run_attempt(
             if tmp.is_dir() {
                 let _ = std::fs::remove_dir_all(&tmp);
             }
-            let options = RecoveryOptions::try_new(&path, shared.cfg.checkpoint_every)
-                .map_err(JobError::Resume)?;
-            if attempt > 1 && RunCheckpoint::any_exists(&path) {
-                RESUMED.add(1);
-                shared.lock().stats.resumed += 1;
-            }
-            let mut log = EventLog::new();
-            let mut rewards = Vec::new();
-            let mut done = 0usize;
-            while done < episodes {
-                if boundary_gate(shared, id, first_started, deadline_ms)? {
-                    return Ok(AttemptOutcome::Parked);
-                }
-                let target = (done + shared.cfg.checkpoint_every).min(episodes);
-                if let Some(chaos) = &shared.chaos {
-                    if chaos.sabotage_checkpoint(id, target) {
-                        // Block the atomic write's temp path: the chunk
-                        // trains, the save fails typed, and the retry
-                        // replays the chunk from the previous checkpoint.
-                        let _ = std::fs::create_dir_all(&tmp);
+            let every = shared.cfg.checkpoint_every;
+            let options = RecoveryOptions::try_new(&path, every).map_err(JobError::Resume)?;
+            let mut starting = true;
+            let hook = |done: usize| {
+                // Faults fire only after a save lands, never before the
+                // attempt trains; only a resume starts past episode 0.
+                let chaos_at = if std::mem::take(&mut starting) {
+                    if done > 0 {
+                        RESUMED.add(1);
+                        shared.lock().stats.resumed += 1;
                     }
+                    None
+                } else {
+                    Some(done)
+                };
+                boundary(shared, id, chaos_at, first_started, deadline_ms)?;
+                let next_save = (done + every).min(episodes);
+                if done < episodes
+                    && shared
+                        .chaos
+                        .as_ref()
+                        .is_some_and(|c| c.sabotage_checkpoint(id, next_save))
+                {
+                    // Block the atomic write's temp path: the next episodes
+                    // train, their save fails typed, and the retry replays
+                    // them from the previous checkpoint.
+                    let _ = std::fs::create_dir_all(&tmp);
                 }
-                rewards = mechanism
-                    .train_recoverable(&mut env, target, &options, &mut log)
-                    .map_err(JobError::Resume)?;
-                done = rewards.len();
-                if let Some(chaos) = &shared.chaos {
-                    chaos.on_boundary(id, done);
-                }
+                ControlFlow::Continue(())
+            };
+            let run = mechanism
+                .train_recoverable_with(&mut env, episodes, &options, &mut EventLog::new(), hook)
+                .map_err(JobError::Resume)?;
+            match run {
+                ControlFlow::Continue(rewards) => rewards,
+                ControlFlow::Break(outcome) => return outcome,
             }
-            rewards
         }
     };
-    // Final gate before the evaluation episode (deadline/cancel/drain).
-    if boundary_gate(shared, id, first_started, deadline_ms)? {
-        return Ok(AttemptOutcome::Parked);
-    }
     let (summary, _records) = mechanism.run_episode(&mut env);
-    if spec.kind == crate::job::JobKind::Train {
+    if spec.kind == JobKind::Train {
         let path = shared.cfg.state_dir.join(format!("job-{id}.json"));
         let _ = RunCheckpoint::remove(&path);
     }

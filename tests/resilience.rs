@@ -3,6 +3,7 @@
 //! through the public prelude, the way a downstream user would.
 
 use chiron_repro::prelude::*;
+use std::ops::ControlFlow;
 
 fn env_with(budget: f64, seed: u64, resilience: ResilienceConfig) -> EdgeLearningEnv {
     let mut config = EnvConfig::paper_small(DatasetKind::MnistLike, budget);
@@ -202,6 +203,113 @@ fn kill_and_resume_matches_uninterrupted_run() {
     let (sb, _) = resumed.run_episode(&mut env_b);
     assert_eq!(sa.final_accuracy.to_bits(), sb.final_accuracy.to_bits());
     assert_eq!(sa.spent.to_bits(), sb.spent.to_bits());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The interrupt path of `train --checkpoint`: the boundary hook stops the
+/// run at the episode-4 checkpoint, a fresh call on fresh objects resumes
+/// it, and the rewards, the final snapshot and a later evaluation are
+/// bitwise those of an uninterrupted `train`. Only the second call
+/// resumes, and its last checkpoint lands off the 2-episode grid, after
+/// the final episode.
+#[test]
+fn hook_stop_then_fresh_call_resumes_bitwise() {
+    let dir = std::env::temp_dir().join("chiron_resilience_hook_stop");
+    std::fs::create_dir_all(&dir).expect("tmp");
+    let ckpt = dir.join("run.ckpt.json");
+    RunCheckpoint::remove(&ckpt).expect("clean slate");
+    let opts = RecoveryOptions::new(&ckpt, 2);
+
+    let mut env = small_env(17);
+    let mut reference = Chiron::new(&env, ChironConfig::fast(), 5);
+    let full = reference.train(&mut env, 7);
+
+    let mut env = small_env(17);
+    let mut first = Chiron::new(&env, ChironConfig::fast(), 5);
+    let mut log = EventLog::new();
+    let mut seen = Vec::new();
+    let stopped = first
+        .train_recoverable_with(&mut env, 7, &opts, &mut log, |done| {
+            seen.push(done);
+            if done == 4 {
+                ControlFlow::Break(done)
+            } else {
+                ControlFlow::Continue(())
+            }
+        })
+        .expect("first leg trains");
+    assert_eq!(stopped, ControlFlow::Break(4));
+    assert_eq!(
+        seen,
+        [0, 2, 4],
+        "hook runs at the start and after each save"
+    );
+    assert_eq!(log.count("resumed"), 0);
+    drop(first);
+
+    let mut env = small_env(17);
+    let mut resumed = Chiron::new(&env, ChironConfig::fast(), 4242);
+    let mut log = EventLog::new();
+    let mut seen = Vec::new();
+    let ControlFlow::Continue(tail) = resumed
+        .train_recoverable_with(&mut env, 7, &opts, &mut log, |done| {
+            seen.push(done);
+            ControlFlow::<()>::Continue(())
+        })
+        .expect("second leg trains")
+    else {
+        panic!("the hook never stops the second leg");
+    };
+    assert_eq!(seen, [4, 6, 7], "the first call reports the resumed count");
+    assert_eq!(log.count("resumed"), 1);
+    let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&full), bits(&tail));
+    assert_eq!(resumed.snapshot(), reference.snapshot());
+    // And the two keep agreeing on a fresh evaluation.
+    let (sa, _) = reference.run_episode(&mut small_env(17));
+    let (sb, _) = resumed.run_episode(&mut small_env(17));
+    assert_eq!(sa.rounds, sb.rounds);
+    assert_eq!(sa.final_accuracy.to_bits(), sb.final_accuracy.to_bits());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One call reads its checkpoint at most once, at the start: a healthy run
+/// keeps training in memory even when every file it saved is clobbered
+/// behind its back, records no resume, and still matches `train` bitwise.
+#[test]
+fn healthy_run_never_reads_its_checkpoints() {
+    let dir = std::env::temp_dir().join("chiron_resilience_no_reread");
+    std::fs::create_dir_all(&dir).expect("tmp");
+    let ckpt = dir.join("run.ckpt.json");
+    let prev = dir.join("run.ckpt.json.prev");
+    RunCheckpoint::remove(&ckpt).expect("clean slate");
+    let opts = RecoveryOptions::new(&ckpt, 1);
+
+    let mut env = small_env(23);
+    let mut reference = Chiron::new(&env, ChironConfig::fast(), 3);
+    let full = reference.train(&mut env, 10);
+
+    let mut env = small_env(23);
+    let mut mech = Chiron::new(&env, ChironConfig::fast(), 3);
+    let mut log = EventLog::new();
+    let mut saves = 0;
+    let rewards = mech
+        .train_recoverable_with(&mut env, 10, &opts, &mut log, |done| {
+            if done > 0 {
+                saves += 1;
+                for path in [&ckpt, &prev] {
+                    if path.exists() {
+                        std::fs::write(path, "clobbered").expect("clobber");
+                    }
+                }
+            }
+            ControlFlow::<()>::Continue(())
+        })
+        .expect("healthy run trains");
+    assert_eq!(saves, 10, "checkpoint_every = 1 saves after every episode");
+    assert_eq!(rewards, ControlFlow::Continue(full));
+    assert_eq!(log.count("resumed"), 0);
+    assert_eq!(mech.snapshot(), reference.snapshot());
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -6,6 +6,11 @@
 //! `CHIRON_THREADS=1` and `CHIRON_THREADS=4`; every bitwise assertion here
 //! must hold at both settings.
 
+use chiron::{Chiron, ChironConfig, EpisodeRun, Mechanism, RunCheckpoint};
+use chiron_data::DatasetKind;
+use chiron_fedsim::{EdgeLearningEnv, EnvConfig};
+use chiron_serve::config::splitmix64;
+use chiron_serve::http::{read_request, ParseError, MAX_BODY_BYTES, MAX_HEAD_BYTES};
 use chiron_serve::supervisor::unique_state_dir;
 use chiron_serve::{
     Daemon, Fault, FaultPlan, JobSpec, JobState, ServeConfig, ServeError, Supervisor,
@@ -80,6 +85,68 @@ fn killed_job_resumes_bitwise_identical() {
         "post-resume evaluation must match bitwise"
     );
     assert_eq!(reference.rounds, survived.rounds);
+}
+
+/// A healthy train job that checkpoints every episode never resumes: it
+/// matches an in-process `Chiron::train` bitwise and leaves no checkpoint
+/// generation behind.
+#[test]
+fn healthy_train_job_matches_in_process_and_cleans_up() {
+    let cfg = ServeConfig {
+        checkpoint_every: 1,
+        ..base_cfg("serve-healthy")
+    };
+    let state_dir = cfg.state_dir.clone();
+    let sup = Supervisor::start(cfg).expect("start");
+    let spec = JobSpec::train_fast("tiny", 3, 20.0, 10, 7);
+    let id = sup.submit(spec.clone()).expect("submit");
+    assert_eq!(sup.wait(id, WAIT), Some(JobState::Completed));
+    let served = sup.status(id).expect("view").result.expect("result");
+    assert_eq!(sup.stats().resumed, 0, "a healthy job never resumes");
+    sup.shutdown(Duration::from_secs(10));
+
+    let mut config = EnvConfig::paper_small(DatasetKind::Tiny, spec.budget);
+    config.fleet.nodes = spec.nodes;
+    let mut env = EdgeLearningEnv::new(config, spec.seed());
+    let mut mech = Chiron::new(&env, ChironConfig::fast(), spec.seed());
+    let rewards = mech.train(&mut env, 10);
+    let (summary, _) = mech.run_episode(&mut env);
+    let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&served.rewards), bits(&rewards));
+    assert_eq!(
+        served.final_accuracy.to_bits(),
+        summary.final_accuracy.to_bits()
+    );
+    assert_eq!(served.rounds, summary.rounds);
+
+    let left: Vec<_> = std::fs::read_dir(&state_dir)
+        .expect("state dir")
+        .map(|e| e.expect("entry").file_name())
+        .collect();
+    assert!(left.is_empty(), "checkpoint files left behind: {left:?}");
+    std::fs::remove_dir_all(&state_dir).ok();
+}
+
+/// A worker killed mid-job costs exactly one resume: the retry reads the
+/// checkpoint once, when it starts, and then trains on in memory.
+#[test]
+fn killed_job_resumes_exactly_once() {
+    let plan = FaultPlan::new(99).with(Fault::KillWorker {
+        job: 1,
+        at_episode: 2,
+    });
+    let cfg = ServeConfig {
+        checkpoint_every: 1,
+        ..base_cfg("serve-kill-once")
+    };
+    let sup = Supervisor::start_with_chaos(cfg, plan).expect("start");
+    let id = sup.submit(train_spec()).expect("submit");
+    assert_eq!(sup.wait(id, WAIT), Some(JobState::Completed));
+    let view = sup.status(id).expect("view");
+    assert_eq!(view.attempts, 2, "one kill, one retry");
+    assert_eq!(view.result.expect("result").rewards.len(), 6);
+    assert_eq!(sup.stats().resumed, 1);
+    sup.shutdown(Duration::from_secs(10));
 }
 
 /// A checkpoint-write I/O fault is transient: the attempt fails typed,
@@ -222,7 +289,9 @@ fn straggler_is_evicted_at_deadline() {
         job: 1,
         delay_ms: 500,
     });
-    let sup = Supervisor::start_with_chaos(base_cfg("serve-deadline"), plan).expect("start");
+    let cfg = base_cfg("serve-deadline");
+    let state_dir = cfg.state_dir.clone();
+    let sup = Supervisor::start_with_chaos(cfg, plan).expect("start");
     let mut spec = train_spec();
     spec.deadline_ms = Some(120);
     let id = sup.submit(spec).expect("submit");
@@ -232,6 +301,10 @@ fn straggler_is_evicted_at_deadline() {
         }
         other => panic!("expected Failed(deadline), got {other:?}"),
     }
+    assert!(
+        RunCheckpoint::any_exists(state_dir.join(format!("job-{id}.json"))),
+        "an evicted job leaves its checkpoint behind"
+    );
     let stats = sup.stats();
     assert_eq!(stats.deadline_evictions, 1);
     assert_eq!(stats.failed, 1);
@@ -347,4 +420,177 @@ fn http_overload_returns_429_and_drains_cleanly() {
     let (status, _) = post(addr, "/shutdown", "");
     assert_eq!(status, 200);
     daemon.join(Duration::from_secs(15));
+}
+
+// ---------------------------------------------------------------------------
+// Request parsing fuzz
+// ---------------------------------------------------------------------------
+
+/// Serves `data` in pieces of 1 to `max_piece` bytes, sized by a seeded
+/// mixer: the way a client's small writes reach the socket.
+struct Trickle<'a> {
+    data: &'a [u8],
+    state: u64,
+    max_piece: usize,
+}
+
+impl Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.state = splitmix64(self.state);
+        let piece = 1 + (self.state % self.max_piece as u64) as usize;
+        let n = piece.min(buf.len()).min(self.data.len());
+        buf[..n].copy_from_slice(&self.data[..n]);
+        self.data = &self.data[n..];
+        Ok(n)
+    }
+}
+
+#[derive(Debug, PartialEq)]
+enum Parsed {
+    Body(Vec<u8>),
+    Io,
+    Malformed,
+    TooLarge,
+}
+
+fn parse(data: &[u8], seed: u64, max_piece: usize) -> Parsed {
+    let mut reader = Trickle {
+        data,
+        state: seed,
+        max_piece,
+    };
+    match read_request(&mut reader) {
+        Ok(request) => Parsed::Body(request.body),
+        Err(ParseError::Io(_)) => Parsed::Io,
+        Err(ParseError::Malformed(_)) => Parsed::Malformed,
+        Err(ParseError::TooLarge(_)) => Parsed::TooLarge,
+    }
+}
+
+/// One segment, many 1–7 byte writes, and everything in between.
+const PIECES: [usize; 5] = [usize::MAX, 1, 3, 7, 1500];
+
+fn post_with(headers: &str, body: &[u8]) -> Vec<u8> {
+    let mut raw = format!("POST /jobs HTTP/1.1\r\nHost: x\r\n{headers}\r\n").into_bytes();
+    raw.extend_from_slice(body);
+    raw
+}
+
+/// `read_request` returns a typed `ParseError` or exactly the declared
+/// body — never a panic — for hostile `Content-Length` values, non-UTF-8
+/// heads, heads at and one byte over `MAX_HEAD_BYTES`, truncated bodies,
+/// and any split of the bytes into socket reads. The outcome never
+/// depends on how the bytes were split.
+#[test]
+fn read_request_fuzz_fails_typed_or_returns_exact_body() {
+    use Parsed::{Body, Io, Malformed, TooLarge};
+    let body = b"{\"kind\":\"Eval\"}".to_vec();
+    let len = body.len();
+    // Pad a head to exactly `size` bytes, terminator included.
+    let head_of = |size: usize| {
+        let bare = format!("POST /jobs HTTP/1.1\r\nContent-Length: {len}\r\nX-Pad: \r\n\r\n");
+        let pad = "a".repeat(size - bare.len());
+        format!("POST /jobs HTTP/1.1\r\nContent-Length: {len}\r\nX-Pad: {pad}\r\n\r\n")
+    };
+    let mut at_limit = head_of(MAX_HEAD_BYTES).into_bytes();
+    assert_eq!(at_limit.len(), MAX_HEAD_BYTES);
+    at_limit.extend_from_slice(&body);
+    let mut over_limit = head_of(MAX_HEAD_BYTES + 1).into_bytes();
+    over_limit.extend_from_slice(&body);
+    let mut non_utf8 = post_with(&format!("Content-Length: {len}\r\n"), &body);
+    non_utf8[6] = 0xff;
+    let mut trailing = post_with(&format!("Content-Length: {len}\r\n"), &body);
+    trailing.extend_from_slice(b"GET /next HTTP/1.1\r\n\r\n");
+    let cl = |v: &str| post_with(&format!("Content-Length: {v}\r\n"), &body);
+
+    let cases: Vec<(&str, Vec<u8>, Parsed)> = vec![
+        ("exact body", cl(&len.to_string()), Body(body.clone())),
+        ("bytes past the body", trailing, Body(body.clone())),
+        (
+            "no body",
+            b"GET /healthz HTTP/1.1\r\n\r\n".to_vec(),
+            Body(Vec::new()),
+        ),
+        ("empty body", cl("0"), Body(Vec::new())),
+        (
+            "duplicate content-length",
+            post_with(
+                &format!("Content-Length: {len}\r\ncontent-length: {len}\r\n"),
+                &body,
+            ),
+            Malformed,
+        ),
+        ("negative", cl("-1"), Malformed),
+        ("non-numeric", cl("twelve"), Malformed),
+        ("trailing junk", cl("16x"), Malformed),
+        ("empty value", cl(""), Malformed),
+        (
+            "over the body bound",
+            cl(&(MAX_BODY_BYTES + 1).to_string()),
+            TooLarge,
+        ),
+        ("overflowing", cl("99999999999999999999999999"), TooLarge),
+        ("non-UTF-8 head", non_utf8, Malformed),
+        ("head at MAX_HEAD_BYTES", at_limit, Body(body.clone())),
+        ("head one byte over", over_limit, TooLarge),
+        ("truncated body", cl("64"), Io),
+        (
+            "truncated head",
+            b"GET /healthz HTTP/1.1\r\nHost".to_vec(),
+            Malformed,
+        ),
+        ("no head at all", Vec::new(), Malformed),
+    ];
+    for (name, raw, expected) in &cases {
+        for (i, max_piece) in PIECES.into_iter().enumerate() {
+            let got = parse(raw, i as u64, max_piece);
+            assert_eq!(
+                &got, expected,
+                "{name}, pieces of at most {max_piece} bytes"
+            );
+        }
+    }
+
+    // Seeded mutants of a valid request: flip, insert and delete bytes,
+    // biased towards the bytes that steer the parser.
+    let valid = cl(&len.to_string());
+    let alphabet = b"\r\n:0123456789- \xffContent-Length";
+    for seed in 0..2_000u64 {
+        let mut state = splitmix64(seed);
+        let mut next = || {
+            state = splitmix64(state);
+            state as usize
+        };
+        let mut raw = valid.clone();
+        for _ in 0..1 + next() % 4 {
+            let at = next() % (raw.len() + 1);
+            let byte = alphabet[next() % alphabet.len()];
+            match next() % 3 {
+                0 if at < raw.len() => raw[at] = byte,
+                1 => raw.insert(at, byte),
+                _ if at < raw.len() => drop(raw.remove(at)),
+                _ => raw.push(byte),
+            }
+        }
+        let outcome = parse(&raw, seed, usize::MAX);
+        if let Body(got) = &outcome {
+            let head_end = raw
+                .windows(4)
+                .position(|w| w == b"\r\n\r\n")
+                .expect("a parsed request has a head")
+                + 4;
+            assert_eq!(
+                got[..],
+                raw[head_end..head_end + got.len()],
+                "mutant {seed}: body is not the bytes after the head"
+            );
+        }
+        for max_piece in [1, 5] {
+            assert_eq!(
+                parse(&raw, seed ^ 1, max_piece),
+                outcome,
+                "mutant {seed}: outcome depends on the read sizes"
+            );
+        }
+    }
 }
