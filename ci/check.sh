@@ -14,12 +14,12 @@ cargo build --workspace --release --offline
 echo "==> cargo test"
 cargo test -q --workspace --release --offline
 
-echo "==> determinism + resilience + conformance + serve chaos suites under the thread matrix"
+echo "==> determinism + zero-alloc + resilience + conformance + serve chaos suites under the thread matrix"
 for t in 1 4 8; do
     echo "    CHIRON_THREADS=$t"
     CHIRON_THREADS=$t cargo test -q --release --offline \
         --test failure_injection --test resilience --test parallel_determinism \
-        --test mechanism_conformance --test serve
+        --test mechanism_conformance --test serve --test zero_alloc
 done
 
 echo "==> kernel + determinism suites under the SIMD × thread matrix"
@@ -35,29 +35,9 @@ for s in 0 1; do
     CHIRON_SIMD=$s cargo test -q --release --offline -p chiron-tensor kernel
 done
 
-echo "==> determinism + zero-alloc suites under the pack-cache × thread matrix"
-# CHIRON_PACK_CACHE=0 pins the packed-operand cache off; 1 pins it on
-# (unset leaves the runtime default). The cache serves packed panels, never
-# results, so every output must be bitwise identical either way at every
-# thread count — and steady-state train/eval rounds must stay
-# allocation-free with the cache in both states.
-for p in 0 1; do
-    for t in 1 4 8; do
-        echo "    CHIRON_PACK_CACHE=$p CHIRON_THREADS=$t"
-        CHIRON_PACK_CACHE=$p CHIRON_THREADS=$t cargo test -q --release --offline \
-            --test parallel_determinism --test zero_alloc
-    done
-done
-
 echo "==> bench smoke (1 sample per case, scratch output dir)"
 smoke_out="${CHIRON_BENCH_SMOKE_OUT:-$(mktemp -d)}"
 mkdir -p "$smoke_out"
-CHIRON_BENCH_SAMPLES=1 CHIRON_BENCH_OUT="$smoke_out" \
-    cargo run -q --release --offline -p chiron-bench --bin bench_kernels
-CHIRON_BENCH_SAMPLES=1 CHIRON_BENCH_OUT="$smoke_out" \
-    cargo run -q --release --offline -p chiron-bench --bin bench_nn
-CHIRON_BENCH_SAMPLES=1 CHIRON_BENCH_OUT="$smoke_out" \
-    cargo run -q --release --offline -p chiron-bench --bin bench_episodes
 # bench_fleet caps its size matrix at 10k nodes when CHIRON_BENCH_SAMPLES=1.
 CHIRON_BENCH_SAMPLES=1 CHIRON_BENCH_OUT="$smoke_out" \
     cargo run -q --release --offline -p chiron-bench --bin bench_fleet
@@ -78,8 +58,9 @@ for t in 4 8; do
 done
 cp "$tourn_ref"/BENCH_tournament.json "$tourn_ref"/BENCH_tournament.md "$smoke_out"/
 rm -rf "$tourn_ref"
-# Keep the smoke output when the caller asked for it (CI publishes
-# BENCH_episodes.json as a workflow artifact); scratch dirs are removed.
+# Keep the smoke output when the caller asked for it (CI publishes the
+# fleet and tournament records as workflow artifacts); scratch dirs are
+# removed.
 [ -n "${CHIRON_BENCH_SMOKE_OUT:-}" ] || rm -rf "$smoke_out"
 
 echo "==> serve daemon smoke (submit, poll, drain-shutdown) under the thread matrix"

@@ -1,7 +1,7 @@
 //! # chiron-bench
 //!
 //! The reproduction harness: one binary per table/figure of the paper's
-//! evaluation (Section VI), plus Criterion micro-benchmarks.
+//! evaluation (Section VI).
 //!
 //! | Binary | Paper artifact |
 //! |---|---|

@@ -1,12 +1,11 @@
-//! Machine-readable micro-bench harness.
+//! Machine-readable timing harness for the fleet-scaling bench.
 //!
-//! The Criterion benches print human-oriented reports; this module is the
-//! cross-PR record. Each case is timed (warmup, then `CHIRON_BENCH_SAMPLES`
-//! samples of auto-calibrated iteration batches) and appended to a JSON file
-//! at the repo root (`BENCH_kernels.json`, `BENCH_nn.json`) under a run
-//! label (`CHIRON_BENCH_LABEL`, default `current`). Re-running with the same
-//! label replaces that label's numbers and leaves other labels untouched, so
-//! the files accumulate a before/after trajectory across PRs.
+//! Each case is timed (warmup, then `CHIRON_BENCH_SAMPLES` samples of
+//! auto-calibrated iteration batches) and appended to a JSON file at the
+//! repo root (`BENCH_fleet.json`) under a run label (`CHIRON_BENCH_LABEL`,
+//! default `current`). Re-running with the same label replaces that label's
+//! numbers and leaves other labels untouched, so the file accumulates a
+//! before/after trajectory across changes.
 
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
@@ -30,14 +29,9 @@ pub struct Run {
     /// Iterations averaged inside each sample.
     pub iters: usize,
     /// Derived throughput for round-structured cases (federated rounds
-    /// per second); `None` for plain kernel timings. Absent in older
-    /// records — missing fields deserialize to `None`.
+    /// per second); `None` for plain timings. Absent in older records —
+    /// missing fields deserialize to `None`.
     pub rounds_per_sec: Option<f64>,
-    /// Arithmetic throughput in GFLOP/s, derived from the case's known
-    /// FLOP count and the fastest sample (`min_ms`) — the standard way to
-    /// quote a GEMM kernel. Only set for cases with a meaningful FLOP
-    /// count (see [`time_case_flops`]); absent in older records.
-    pub gflops: Option<f64>,
 }
 
 /// One benchmark case with its per-label history.
@@ -118,26 +112,12 @@ pub fn time_case(name: &str, mut f: impl FnMut()) -> (String, Run) {
         samples,
         iters,
         rounds_per_sec: None,
-        gflops: None,
     };
     println!(
         "{name:<40} mean {:>10.4} ms  p50 {:>10.4}  p95 {:>10.4}  (n={samples}×{iters})",
         run.mean_ms, run.p50_ms, run.p95_ms
     );
     (name.to_owned(), run)
-}
-
-/// [`time_case`] for cases with a known arithmetic cost (`flops` per
-/// iteration, e.g. `2·M·K·N` for a GEMM): additionally records the
-/// best-sample throughput in the run's `gflops` field.
-pub fn time_case_flops(name: &str, flops: usize, f: impl FnMut()) -> (String, Run) {
-    let (name, mut run) = time_case(name, f);
-    if run.min_ms > 0.0 {
-        let gflops = flops as f64 / (run.min_ms * 1e6);
-        println!("{name:<40} best {gflops:>10.2} GFLOP/s");
-        run.gflops = Some(gflops);
-    }
-    (name, run)
 }
 
 /// Repo root (two levels above this crate's manifest).
@@ -216,7 +196,6 @@ mod tests {
                     samples: 20,
                     iters: 3,
                     rounds_per_sec: Some(13_333.3),
-                    gflops: Some(4.2),
                 }],
             }],
         };

@@ -222,8 +222,7 @@ impl Layer for Conv2d {
         let fan = self.in_channels * self.geo.k_h * self.geo.k_w;
         let p = self.geo.out_positions();
         let c_out = self.out_channels;
-        let bview =
-            MatView::row_major(self.weight.as_slice(), fan, c_out).keyed(self.weight.pack_key());
+        let bview = MatView::row_major(self.weight.as_slice(), fan, c_out);
         // Unroll every chunk up front; the geometry is fixed, so chunks
         // differ only in batch size (typically just the last one).
         let cols: Vec<(Tensor, usize)> = inputs

@@ -130,8 +130,7 @@ impl Layer for Linear {
             FusedActivation::None => Epilogue::Bias(self.bias.as_slice()),
             FusedActivation::Relu => Epilogue::BiasRelu(self.bias.as_slice()),
         };
-        let bview =
-            MatView::row_major(self.weight.as_slice(), kin, nout).keyed(self.weight.pack_key());
+        let bview = MatView::row_major(self.weight.as_slice(), kin, nout);
         let mut outs: Vec<Tensor> = Vec::with_capacity(inputs.len());
         // Batch maximal runs of equal-row chunks through one blocked pass
         // that packs the weight panel once per run.

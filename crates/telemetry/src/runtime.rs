@@ -13,10 +13,6 @@
 //! | `CHIRON_COARSE` | bool (`0`/`1`) | tensor scope | enable coarse-grained task scheduling (default 1) |
 //! | `CHIRON_SCRATCH_CAP` | usize (MiB) | tensor scratch | per-thread arena retention cap (default 64) |
 //! | `CHIRON_SIMD` | bool (`0`/`1`) | tensor kernel | SIMD dispatch tier (default 1 = best detected; `0` forces the pinned scalar tier) |
-//! | `CHIRON_AUTOTUNE` | bool (`0`/`1`) | tensor kernel | per-shape measured blocking autotuner (default 1; `0` = static heuristic only) |
-//! | `CHIRON_AUTOTUNE_CACHE` | path | tensor kernel | persistent autotune profile cache file (default: in-memory only) |
-//! | `CHIRON_PACK_CACHE` | bool (`0`/`1`) | tensor kernel | packed-operand cache (default 1; `0` repacks every call — bitwise-identical verification pin) |
-//! | `CHIRON_PACK_CACHE_CAP` | usize (MiB) | tensor kernel | per-thread packed-operand cache cap (default 64) |
 //! | `CHIRON_QUORUM` | usize | fedsim | minimum participants per round (default 0 = off) |
 //! | `CHIRON_DEADLINE_SLACK` | f64 ≥ 1 | fedsim | Lemma-1 deadline multiplier (default off) |
 //! | `CHIRON_FAULT_SEED` | u64 | CLI | installs the standard fault process with this seed |
@@ -80,18 +76,6 @@ pub struct RuntimeConfig {
     /// dispatch tier (`0`/`false` forces the pinned scalar tier; every tier
     /// is bitwise-identical, so this is a verification/benchmark knob).
     pub simd: Option<bool>,
-    /// `CHIRON_AUTOTUNE`: whether the kernel may measure blocking
-    /// candidates per shape (`0`/`false` = deterministic static heuristic).
-    pub autotune: Option<bool>,
-    /// `CHIRON_AUTOTUNE_CACHE`: path of the persistent autotune profile
-    /// cache (loaded on first kernel use, rewritten after each tune).
-    pub autotune_cache: Option<String>,
-    /// `CHIRON_PACK_CACHE`: whether the kernel may reuse packed operand
-    /// panels across calls (`0`/`false` repacks every call; the cache is
-    /// bitwise-invisible, so this is a verification/benchmark knob).
-    pub pack_cache: Option<bool>,
-    /// `CHIRON_PACK_CACHE_CAP`: per-thread packed-operand cache cap in MiB.
-    pub pack_cache_cap_mib: Option<usize>,
     /// `CHIRON_QUORUM`: minimum participants per round.
     pub quorum: Option<usize>,
     /// `CHIRON_DEADLINE_SLACK`: Lemma-1 deadline multiplier (must be ≥ 1
@@ -158,12 +142,6 @@ impl RuntimeConfig {
             coarse: parse_bool_var("CHIRON_COARSE"),
             scratch_cap_mib: parse_var("CHIRON_SCRATCH_CAP"),
             simd: parse_bool_var("CHIRON_SIMD"),
-            autotune: parse_bool_var("CHIRON_AUTOTUNE"),
-            autotune_cache: std::env::var("CHIRON_AUTOTUNE_CACHE")
-                .ok()
-                .filter(|s| !s.is_empty()),
-            pack_cache: parse_bool_var("CHIRON_PACK_CACHE"),
-            pack_cache_cap_mib: parse_var("CHIRON_PACK_CACHE_CAP"),
             quorum: parse_var("CHIRON_QUORUM"),
             deadline_slack: parse_var("CHIRON_DEADLINE_SLACK"),
             fault_seed: parse_var("CHIRON_FAULT_SEED"),

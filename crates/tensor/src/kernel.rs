@@ -1,5 +1,5 @@
 //! Cache-blocked, packed, register-tiled matmul kernel with runtime SIMD
-//! dispatch and per-shape autotuned blocking.
+//! dispatch and a fixed per-shape blocking table.
 //!
 //! All three matmul variants ([`Tensor::matmul`](crate::Tensor::matmul),
 //! `matmul_tn`, `matmul_nt`) and the conv-backward products route through
@@ -20,10 +20,9 @@
 //!   unfused multiply-then-add, so every tier executes each element's
 //!   canonical fold exactly.
 //! * **Blocking parameters** ([`tune::params_for`]): the `mc`/`kc`/`nc`
-//!   panel sizes and the register micro-tile, resolved from the per-shape
-//!   autotune profile cache (measured once per shape when `CHIRON_AUTOTUNE`
-//!   is on, deterministic heuristic otherwise). The scalar tier always uses
-//!   the pinned [`MC`]/[`KC`]/[`NC`] + [`MR`]×[`NR`] configuration — the
+//!   panel sizes and the register micro-tile, a pure function of the tier
+//!   and the product's shape and layouts. The scalar tier always uses the
+//!   pinned [`MC`]/[`KC`]/[`NC`] + [`MR`]×[`NR`] configuration — the
 //!   byte-stable reference.
 //!
 //! # Canonical accumulation order
@@ -66,18 +65,16 @@
 //! The B panel is packed once per `(jc, pc)` by the calling thread; each
 //! row block packs its A panel into its own thread-local scratch buffer.
 
-pub mod pack_cache;
 pub mod simd;
 pub mod tune;
 
 use crate::scratch::ScratchBuf;
 use crate::{pool, Tensor};
 use simd::{DispatchTier, MicroTile};
-use std::rc::Rc;
 use tune::KernelParams;
 
 /// Rows of C per cache block on the pinned scalar tier (the `ic` loop step
-/// and the parallel grain); vector tiers may autotune a different value.
+/// and the parallel grain); the vector tiers use twice this (see [`tune`]).
 pub const MC: usize = 64;
 /// Depth of one packed panel (the `pc` loop step): A and B panels of this
 /// depth stay L1/L2-resident under the micro-kernel.
@@ -88,7 +85,7 @@ pub const NC: usize = 512;
 /// FPU enough parallelism despite each element's strictly serial `k` chain.
 pub const MR: usize = 8;
 /// Pinned scalar micro-tile columns. Vector tiers widen this to one or two
-/// hardware lanes (see [`simd::MicroTile`]).
+/// 8-float vectors (see [`simd::MicroTile`]).
 pub const NR: usize = 4;
 
 /// Multiply-add count below which the packed path's setup (panel packing,
@@ -117,9 +114,6 @@ const PARALLEL_FLOP_THRESHOLD: usize = 1 << 16;
 pub struct MatView<'a> {
     data: &'a [f32],
     layout: Layout,
-    /// Content identity for the packed-operand cache (see
-    /// [`MatView::keyed`]); `None` means "never cache this operand".
-    key: Option<(u64, u64)>,
 }
 
 #[derive(Clone, Copy)]
@@ -151,7 +145,6 @@ impl<'a> MatView<'a> {
         Self {
             data,
             layout: Layout::RowMajor { rows, cols },
-            key: None,
         }
     }
 
@@ -166,7 +159,6 @@ impl<'a> MatView<'a> {
         Self {
             data,
             layout: Layout::ColMajor { rows, cols },
-            key: None,
         }
     }
 
@@ -194,26 +186,7 @@ impl<'a> MatView<'a> {
                 channels,
                 positions,
             },
-            key: None,
         }
-    }
-
-    /// Attaches a [`Tensor::pack_key`](crate::Tensor::pack_key) content
-    /// identity, allowing the blocked kernel to reuse this operand's packed
-    /// panels across calls (see [`pack_cache`]). The caller asserts that
-    /// `key` identifies exactly these bytes — the `Tensor` version counter
-    /// upholds that for any live tensor. Unkeyed views are never cached.
-    #[must_use]
-    pub fn keyed(mut self, key: (u64, u64)) -> Self {
-        self.key = Some(key);
-        self
-    }
-
-    /// Strips the cache identity (autotune trial runs pack with throwaway
-    /// geometries that must not be admitted).
-    pub(crate) fn without_key(mut self) -> Self {
-        self.key = None;
-        self
     }
 
     /// Logical row count.
@@ -234,7 +207,7 @@ impl<'a> MatView<'a> {
         }
     }
 
-    /// Stable layout tag for autotune-profile keying (see
+    /// Stable layout tag for the blocking table's input (see
     /// [`tune::ShapeKey`]).
     fn layout_tag(&self) -> u8 {
         match self.layout {
@@ -405,7 +378,7 @@ pub fn matmul_into_ep(a: &MatView<'_>, b: &MatView<'_>, out: &mut [f32], ep: Epi
             layout_a: a.layout_tag(),
             layout_b: b.layout_tag(),
         };
-        let params = tune::params_for(tier, key, a, b);
+        let params = tune::params_for(tier, key);
         blocked(a, b, m, k, n, out, tier, params, ep);
     } else {
         direct(a, b, m, k, n, out, ep);
@@ -421,8 +394,8 @@ pub fn matmul_into_ep(a: &MatView<'_>, b: &MatView<'_>, out: &mut [f32], ep: Epi
 }
 
 /// Explicit-tier, explicit-parameters variant of [`matmul_into`]:
-/// verification and benchmark hook. Same size-based path dispatch, but no
-/// telemetry and no autotuner — the given tier and blocking are used as-is
+/// verification hook. Same size-based path dispatch, but no telemetry and
+/// no blocking table — the given tier and blocking are used as-is
 /// on the blocked path (the direct path is always scalar). Bitwise-equal to
 /// [`matmul_into`] for every tier/parameter choice (module docs).
 ///
@@ -448,15 +421,14 @@ pub fn matmul_into_with(
 }
 
 /// Runs `a[i] (m×k) · b (k×n)` for every instance `i` through **one**
-/// blocked pass: the packed B panels (and the packed-operand cache entry,
-/// when `b` is [`keyed`](MatView::keyed)) are shared across all instances,
-/// and the pool parallelizes over instances instead of row blocks.
+/// blocked pass: each packed B panel is shared across all instances, and
+/// the pool parallelizes over instances instead of row blocks.
 ///
 /// Every instance must have the same logical shape and layout as `a[0]`.
 /// The per-element arithmetic is exactly what `matmul_into_ep(a[i], b,
 /// outs[i], ep)` performs — dispatch (direct vs blocked) is decided by the
 /// shared per-instance `m·k·n`, the blocking parameters come from the same
-/// per-shape autotune profile, and `row_block` fixes each element's
+/// table lookup, and `row_block` fixes each element's
 /// operation sequence independent of scheduling — so the batched entry
 /// point is bitwise identical to the per-call loop at every thread count.
 ///
@@ -516,30 +488,16 @@ pub fn matmul_batched_into(
         layout_a: a[0].layout_tag(),
         layout_b: b.layout_tag(),
     };
-    let params = tune::params_for(tier, key, &a[0], b);
+    let params = tune::params_for(tier, key);
     let (mc_p, kc_p, nc_p) = (params.mc, params.kc, params.nc);
     let nr = params.tile.nr();
-    let cached_b = fetch_packed_b(b, k, n, kc_p, nc_p, nr);
-    let mut boff = 0usize;
     for jc in (0..n).step_by(nc_p) {
         let nc = nc_p.min(n - jc);
         for pc in (0..k).step_by(kc_p) {
             let kc = kc_p.min(k - pc);
-            let len = nc.div_ceil(nr) * kc * nr;
-            let panel_scratch;
-            let bp: &[f32] = match &cached_b {
-                Some(img) => {
-                    let s = &img[boff..boff + len];
-                    boff += len;
-                    s
-                }
-                None => {
-                    let mut buf = ScratchBuf::zeroed(len);
-                    pack_b(b, pc, kc, jc, nc, nr, &mut buf);
-                    panel_scratch = buf;
-                    &panel_scratch
-                }
-            };
+            let mut panel = ScratchBuf::zeroed(nc.div_ceil(nr) * kc * nr);
+            pack_b(b, pc, kc, jc, nc, nr, &mut panel);
+            let bp: &[f32] = &panel;
             let panel_ep = if pc + kc == k { ep } else { Epilogue::None };
             pool::parallel_chunks_mut(outs, 1, |i, chunk| {
                 let out_i = &mut *chunk[0];
@@ -912,59 +870,8 @@ fn row_block(
     }
 }
 
-/// Total float count of a B operand's fully packed image — every `(jc,
-/// pc)` panel, concatenated in the blocked loop's iteration order.
-fn packed_b_len(k: usize, n: usize, kc_p: usize, nc_p: usize, nr: usize) -> usize {
-    let mut total = 0;
-    for jc in (0..n).step_by(nc_p) {
-        let nc = nc_p.min(n - jc);
-        for pc in (0..k).step_by(kc_p) {
-            let kc = kc_p.min(k - pc);
-            total += nc.div_ceil(nr) * kc * nr;
-        }
-    }
-    total
-}
-
-/// Resolves `b`'s fully packed image through the [`pack_cache`]: `None`
-/// when the view is unkeyed, the cache is disabled, or this is the key's
-/// first sighting (the caller then packs per panel into scratch as
-/// before). The image layout matches [`packed_b_len`]'s iteration order.
-fn fetch_packed_b(
-    b: &MatView<'_>,
-    k: usize,
-    n: usize,
-    kc_p: usize,
-    nc_p: usize,
-    nr: usize,
-) -> Option<Rc<pack_cache::PackBuf>> {
-    let (id, version) = b.key?;
-    let key = pack_cache::PackKey {
-        id,
-        version,
-        layout: b.layout_tag(),
-        k,
-        n,
-        kc: kc_p,
-        nc: nc_p,
-        nr,
-    };
-    pack_cache::get_or_pack(key, packed_b_len(k, n, kc_p, nc_p, nr), |dst| {
-        let mut off = 0;
-        for jc in (0..n).step_by(nc_p) {
-            let nc = nc_p.min(n - jc);
-            for pc in (0..k).step_by(kc_p) {
-                let kc = kc_p.min(k - pc);
-                let len = nc.div_ceil(nr) * kc * nr;
-                pack_b(b, pc, kc, jc, nc, nr, &mut dst[off..off + len]);
-                off += len;
-            }
-        }
-    })
-}
-
 /// The packed panel loops with explicit tier and blocking parameters
-/// (callers resolve them via [`tune::params_for`] or pass pinned values).
+/// (callers look them up with [`tune::params_for`] or pass pinned values).
 #[allow(clippy::too_many_arguments)]
 fn blocked(
     a: &MatView<'_>,
@@ -979,32 +886,15 @@ fn blocked(
 ) {
     let (mc_p, kc_p, nc_p) = (params.mc, params.kc, params.nc);
     let nr = params.tile.nr();
-    // A cached image holds the identical bytes `pack_b` would produce for
-    // each (jc, pc) panel, concatenated in this loop's order — a hit just
-    // skips the copy (see `pack_cache` for the bitwise argument).
-    let cached_b = fetch_packed_b(b, k, n, kc_p, nc_p, nr);
-    let mut boff = 0usize;
     for jc in (0..n).step_by(nc_p) {
         let nc = nc_p.min(n - jc);
         for pc in (0..k).step_by(kc_p) {
             let kc = kc_p.min(k - pc);
-            let len = nc.div_ceil(nr) * kc * nr;
             // One packed B panel per (jc, pc), shared read-only by every
             // row block; padding stays zero from the arena's zero-fill.
-            let panel_scratch;
-            let bp: &[f32] = match &cached_b {
-                Some(img) => {
-                    let s = &img[boff..boff + len];
-                    boff += len;
-                    s
-                }
-                None => {
-                    let mut buf = ScratchBuf::zeroed(len);
-                    pack_b(b, pc, kc, jc, nc, nr, &mut buf);
-                    panel_scratch = buf;
-                    &panel_scratch
-                }
-            };
+            let mut panel = ScratchBuf::zeroed(nc.div_ceil(nr) * kc * nr);
+            pack_b(b, pc, kc, jc, nc, nr, &mut panel);
+            let bp: &[f32] = &panel;
             // Fuse the epilogue only into the final depth panel: that is
             // when each element's full-k accumulation is complete.
             let panel_ep = if pc + kc == k { ep } else { Epilogue::None };
@@ -1110,7 +1000,7 @@ mod tests {
         let bv = MatView::row_major(b.as_slice(), k, n);
         let want = reference(&av, &bv);
         let tier = simd::detect();
-        for &tile in MicroTile::candidates(tier) {
+        for tile in simd::ALL_TILES {
             for (mc, kc, nc) in [(64, 256, 512), (32, 64, 16), (17, 23, 9)] {
                 let params = KernelParams { mc, kc, nc, tile };
                 let mut out = vec![0.0f32; m * n];
@@ -1135,11 +1025,9 @@ mod tests {
     #[test]
     fn micro_kernel_resumes_from_c_tile() {
         // Two kc half-panels must equal one full pass bitwise, for the
-        // pinned scalar tile and every tile the host's tier offers.
+        // pinned scalar tile and every vector tile on the host's tier.
         let tier = simd::detect();
-        let mut tiles = vec![MicroTile::M8N4];
-        tiles.extend_from_slice(MicroTile::candidates(tier));
-        for tile in tiles {
+        for tile in simd::ALL_TILES {
             let (mr, nr) = (tile.mr(), tile.nr());
             let kc = 10;
             let ap: Vec<f32> = (0..kc * mr).map(|x| (x as f32 * 0.37).sin()).collect();

@@ -50,7 +50,7 @@ pub enum DispatchTier {
 }
 
 impl DispatchTier {
-    /// Stable lowercase label (telemetry counter suffix, bench case names).
+    /// Stable lowercase label (telemetry counter suffix, benchmark host line).
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
@@ -68,20 +68,27 @@ impl DispatchTier {
 pub enum MicroTile {
     /// 8×4 — the pinned scalar tile (pre-SIMD kernel, unchanged).
     M8N4,
-    /// 8×8 — one 8-lane vector per row; the SIMD default.
+    /// 8×8 — one 8-lane vector per row; the vector tiers' default.
     M8N8,
     /// 12×8 — taller tile, more B-vector reuse per load.
     M12N8,
     /// 4×16 — two 8-lane vectors per row, shallow.
     M4N16,
-    /// 6×16 — the classic BLIS sgemm shape on 16-register ISAs.
-    M6N16,
 }
 
 /// Largest `mr` any tile uses (staging-buffer bound).
-pub const MR_MAX: usize = 16;
+pub const MR_MAX: usize = 12;
 /// Largest `nr` any tile uses (staging-buffer bound).
 pub const NR_MAX: usize = 16;
+
+/// Every tile, for tests that cross all of them against the reference.
+#[cfg(test)]
+pub(crate) const ALL_TILES: [MicroTile; 4] = [
+    MicroTile::M8N4,
+    MicroTile::M8N8,
+    MicroTile::M12N8,
+    MicroTile::M4N16,
+];
 
 impl MicroTile {
     /// Tile rows.
@@ -91,7 +98,6 @@ impl MicroTile {
             MicroTile::M8N4 | MicroTile::M8N8 => 8,
             MicroTile::M12N8 => 12,
             MicroTile::M4N16 => 4,
-            MicroTile::M6N16 => 6,
         }
     }
 
@@ -101,48 +107,7 @@ impl MicroTile {
         match self {
             MicroTile::M8N4 => 4,
             MicroTile::M8N8 | MicroTile::M12N8 => 8,
-            MicroTile::M4N16 | MicroTile::M6N16 => 16,
-        }
-    }
-
-    /// Stable name used in the autotune profile cache file.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            MicroTile::M8N4 => "m8n4",
-            MicroTile::M8N8 => "m8n8",
-            MicroTile::M12N8 => "m12n8",
-            MicroTile::M4N16 => "m4n16",
-            MicroTile::M6N16 => "m6n16",
-        }
-    }
-
-    /// Inverse of [`MicroTile::name`].
-    #[must_use]
-    pub fn from_name(name: &str) -> Option<Self> {
-        Some(match name {
-            "m8n4" => MicroTile::M8N4,
-            "m8n8" => MicroTile::M8N8,
-            "m12n8" => MicroTile::M12N8,
-            "m4n16" => MicroTile::M4N16,
-            "m6n16" => MicroTile::M6N16,
-            _ => return None,
-        })
-    }
-
-    /// Tiles the autotuner may offer a given tier. Scalar keeps the pinned
-    /// 8×4; vector tiers choose among the wide tiles (`nr` a multiple of
-    /// the lane width, `mr × nr` within the register budget).
-    #[must_use]
-    pub fn candidates(tier: DispatchTier) -> &'static [MicroTile] {
-        match tier {
-            DispatchTier::Scalar => &[MicroTile::M8N4],
-            DispatchTier::Avx2 | DispatchTier::Neon => &[
-                MicroTile::M8N8,
-                MicroTile::M12N8,
-                MicroTile::M4N16,
-                MicroTile::M6N16,
-            ],
+            MicroTile::M4N16 => 16,
         }
     }
 }
@@ -220,7 +185,6 @@ pub(super) fn micro(
                     MicroTile::M8N8 => avx2::m8n8(kc, ap, bp, c, stride),
                     MicroTile::M12N8 => avx2::m12n8(kc, ap, bp, c, stride),
                     MicroTile::M4N16 => avx2::m4n16(kc, ap, bp, c, stride),
-                    MicroTile::M6N16 => avx2::m6n16(kc, ap, bp, c, stride),
                     MicroTile::M8N4 => micro_scalar_m8n4(kc, ap, bp, c, stride),
                 }
             }
@@ -233,7 +197,6 @@ pub(super) fn micro(
                     MicroTile::M8N8 => neon::m8n8(kc, ap, bp, c, stride),
                     MicroTile::M12N8 => neon::m12n8(kc, ap, bp, c, stride),
                     MicroTile::M4N16 => neon::m4n16(kc, ap, bp, c, stride),
-                    MicroTile::M6N16 => neon::m6n16(kc, ap, bp, c, stride),
                     MicroTile::M8N4 => micro_scalar_m8n4(kc, ap, bp, c, stride),
                 }
             }
@@ -273,7 +236,6 @@ pub(super) fn micro_col_edge(
                 MicroTile::M8N8 => avx2::m8n8_edge(kc, ap, bp, c, stride, jn),
                 MicroTile::M12N8 => avx2::m12n8_edge(kc, ap, bp, c, stride, jn),
                 MicroTile::M4N16 => avx2::m4n16_edge(kc, ap, bp, c, stride, jn),
-                MicroTile::M6N16 => avx2::m6n16_edge(kc, ap, bp, c, stride, jn),
                 MicroTile::M8N4 => return false,
             }
         }
@@ -401,7 +363,6 @@ mod avx2 {
         };
     }
     mk_n16!(m4n16, 4);
-    mk_n16!(m6n16, 6);
 
     /// Column-edge variant of [`mk_n8!`]: same fold on all 8 lanes, but C is
     /// read and written through AVX2 masked loads/stores covering only the
@@ -492,7 +453,6 @@ mod avx2 {
         };
     }
     mk_n16_edge!(m4n16_edge, 4);
-    mk_n16_edge!(m6n16_edge, 6);
 
     /// Transposes one 8×8 `f32` block with in-register unpack/shuffle/permute
     /// passes: `src` points at 8 row-major matrix rows (stride `src_stride`),
@@ -643,7 +603,6 @@ mod neon {
         };
     }
     mk_n16!(m4n16, 4);
-    mk_n16!(m6n16, 6);
 }
 
 #[cfg(test)]
@@ -652,11 +611,8 @@ mod tests {
 
     #[test]
     fn tile_dims_fit_staging_bounds() {
-        for tier in [DispatchTier::Scalar, DispatchTier::Avx2, DispatchTier::Neon] {
-            for &tile in MicroTile::candidates(tier) {
-                assert!(tile.mr() <= MR_MAX && tile.nr() <= NR_MAX);
-                assert_eq!(MicroTile::from_name(tile.name()), Some(tile));
-            }
+        for tile in ALL_TILES {
+            assert!(tile.mr() <= MR_MAX && tile.nr() <= NR_MAX);
         }
     }
 
@@ -675,7 +631,7 @@ mod tests {
             return; // nothing to cross-check on this host
         }
         let kc = 37; // not a multiple of any unroll
-        for &tile in MicroTile::candidates(tier) {
+        for tile in ALL_TILES {
             let (mr, nr) = (tile.mr(), tile.nr());
             let ap: Vec<f32> = (0..kc * mr)
                 .map(|x| ((x * 37) as f32 * 0.23).sin())
@@ -706,7 +662,7 @@ mod tests {
     fn masked_col_edge_matches_staged_bitwise() {
         let tier = detect();
         let kc = 31;
-        for &tile in MicroTile::candidates(tier) {
+        for tile in ALL_TILES {
             let (mr, nr) = (tile.mr(), tile.nr());
             let ap: Vec<f32> = (0..kc * mr)
                 .map(|x| ((x * 41) as f32 * 0.13).sin())

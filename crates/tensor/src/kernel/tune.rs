@@ -1,46 +1,32 @@
-//! Per-shape blocking autotuner for the packed kernel.
+//! Fixed blocking table for the packed kernel.
 //!
-//! The paper's workloads multiply a handful of fixed shapes (the im2col
-//! products in `BENCH_kernels.json`) thousands of times, so it pays to spend
-//! a few runs once per shape picking the cache blocking (`mc`/`kc`/`nc`) and
-//! register micro-tile, then replay that choice from a profile cache.
+//! [`params_for`] picks the cache blocking (`mc`/`kc`/`nc`) and register
+//! micro-tile for one product from its dispatch tier and [`ShapeKey`]
+//! alone. It measures nothing and keeps no state, so a shape gets the same
+//! pick in every process:
 //!
-//! # Keying and lookup
+//! | tier | shape | `mc`/`kc`/`nc` | tile |
+//! |---|---|---|---|
+//! | scalar | any | 64 / 256 / 512 | 8×4 ([`KernelParams::pinned_scalar`]) |
+//! | vector | col-major A (`layout_a == 1`) | 128 / 256 / 512 | 12×8 |
+//! | vector | `n >= 128` | 128 / 256 / 512 | 4×16 |
+//! | vector | otherwise | 128 / 256 / 512 | 8×8 |
 //!
-//! Profiles are keyed by [`ShapeKey`] — `(m, k, n)` plus both operands'
-//! layout tags — and by [`DispatchTier`], since the best tile differs per
-//! ISA. [`params_for`] resolves, in order:
-//!
-//! 1. the scalar tier → the pinned [`KernelParams::pinned_scalar`] (never
-//!    tuned; it is the bitwise reference and stays byte-stable),
-//! 2. a cached profile (in-memory, seeded from `CHIRON_AUTOTUNE_CACHE`
-//!    when set),
-//! 3. a measured tune (`CHIRON_AUTOTUNE` unset/`1`): run every candidate on
-//!    the caller's actual operands, keep the fastest, cache it,
-//! 4. otherwise the deterministic [`KernelParams::heuristic`].
+//! The col-major-A products are the weight-gradient GEMMs (`xᵀ·dy`), whose
+//! short `m` and long `k` favour the tallest tile; wide outputs (the conv
+//! backward's `dy·Wᵀ`) fill both 8-lane vectors of the 4×16 tile.
 //!
 //! # Determinism
 //!
-//! Parameter choice affects **speed only, never bits**: every candidate
-//! drives the same canonical per-element fold (see the
-//! [`kernel`](crate::kernel) module docs — blocking splits round-trip
-//! through C memory, micro-tiles only regroup which elements advance
-//! together), so a timing-noise-dependent winner is still bitwise-identical
-//! to every loser. Within one process the cache makes the choice stable
-//! (cold tune → cached → warm hits return the identical parameters, which
-//! the regression test pins); across processes `CHIRON_AUTOTUNE_CACHE`
-//! persists the profile for stable replay.
+//! The pick affects **speed only, never bits**: every blocking drives the
+//! same canonical per-element fold (see the [`kernel`](crate::kernel) module
+//! docs — blocking splits round-trip through C memory, micro-tiles only
+//! regroup which elements advance together), so every row of the table is
+//! bitwise-identical to the scalar tier's pinned reference.
 
 use super::simd::{DispatchTier, MicroTile};
-use super::MatView;
-use crate::scratch;
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
 
-/// Profile-cache key: the problem shape and both operand layouts (packing
-/// cost — and therefore the best blocking — depends on how operands are
-/// strided, not just on `m·k·n`).
+/// A product's shape and both operand layouts — the table's input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ShapeKey {
     /// Output rows.
@@ -80,325 +66,76 @@ impl KernelParams {
             tile: MicroTile::M8N4,
         }
     }
-
-    /// Deterministic shape-independent default for a tier, used when the
-    /// autotuner is disabled or has not yet profiled a shape.
-    #[must_use]
-    pub fn heuristic(tier: DispatchTier) -> Self {
-        match tier {
-            DispatchTier::Scalar => Self::pinned_scalar(),
-            DispatchTier::Avx2 | DispatchTier::Neon => Self {
-                mc: super::MC,
-                kc: super::KC,
-                nc: super::NC,
-                tile: MicroTile::M8N8,
-            },
-        }
-    }
-
-    /// The candidate grid the measured tuner searches for a tier: every
-    /// vector micro-tile crossed with two `mc` grains (L1-lean vs
-    /// L2-lean packed-A panels). Order is fixed, so ties break
-    /// deterministically.
-    #[must_use]
-    pub fn candidates(tier: DispatchTier) -> Vec<Self> {
-        let mut out = Vec::new();
-        for &tile in MicroTile::candidates(tier) {
-            for mc in [super::MC, 2 * super::MC] {
-                out.push(Self {
-                    mc,
-                    kc: super::KC,
-                    nc: super::NC,
-                    tile,
-                });
-            }
-        }
-        out
-    }
 }
 
-type ProfileMap = HashMap<(DispatchTier, ShapeKey), KernelParams>;
-
-struct ProfileCache {
-    map: ProfileMap,
-    /// Whether `CHIRON_AUTOTUNE_CACHE` has been loaded into `map`.
-    disk_loaded: bool,
-}
-
-fn cache() -> &'static Mutex<ProfileCache> {
-    static CACHE: OnceLock<Mutex<ProfileCache>> = OnceLock::new();
-    CACHE.get_or_init(|| {
-        Mutex::new(ProfileCache {
-            map: HashMap::new(),
-            disk_loaded: false,
-        })
-    })
-}
-
-fn autotune_enabled() -> bool {
-    chiron_telemetry::RuntimeConfig::global().autotune != Some(false)
-}
-
-fn cache_path() -> Option<&'static str> {
-    chiron_telemetry::RuntimeConfig::global()
-        .autotune_cache
-        .as_deref()
-}
-
-/// Resolves the blocking parameters for one product (see module docs for
-/// the resolution order). `a`/`b` are the live operands; a measured tune
-/// runs the candidates directly on them.
-pub fn params_for(
-    tier: DispatchTier,
-    key: ShapeKey,
-    a: &MatView<'_>,
-    b: &MatView<'_>,
-) -> KernelParams {
-    static AUTOTUNE_HITS: chiron_telemetry::Counter =
-        chiron_telemetry::Counter::new("tensor.kernel.autotune.hits");
-    static AUTOTUNE_TUNES: chiron_telemetry::Counter =
-        chiron_telemetry::Counter::new("tensor.kernel.autotune.tunes");
+/// The blocking for one product on `tier` (see the module table).
+#[must_use]
+pub fn params_for(tier: DispatchTier, key: ShapeKey) -> KernelParams {
     if tier == DispatchTier::Scalar {
         return KernelParams::pinned_scalar();
     }
-    {
-        let mut c = cache().lock().expect("autotune cache poisoned");
-        if !c.disk_loaded {
-            c.disk_loaded = true;
-            if let Some(path) = cache_path() {
-                load_disk_cache(path, &mut c.map);
-            }
-        }
-        if let Some(&p) = c.map.get(&(tier, key)) {
-            AUTOTUNE_HITS.add(1);
-            return p;
-        }
-    }
-    if !autotune_enabled() {
-        return KernelParams::heuristic(tier);
-    }
-    let tuned = tune(tier, key, a, b);
-    AUTOTUNE_TUNES.add(1);
-    let snapshot = {
-        let mut c = cache().lock().expect("autotune cache poisoned");
-        c.map.insert((tier, key), tuned);
-        cache_path().map(|_| c.map.clone())
+    let tile = if key.layout_a == 1 {
+        MicroTile::M12N8
+    } else if key.n >= 128 {
+        MicroTile::M4N16
+    } else {
+        MicroTile::M8N8
     };
-    if let (Some(path), Some(map)) = (cache_path(), snapshot) {
-        save_disk_cache(path, &map);
+    KernelParams {
+        mc: 2 * super::MC,
+        kc: super::KC,
+        nc: super::NC,
+        tile,
     }
-    tuned
 }
 
-/// The cached profile for `(tier, key)`, if one exists (test/inspection
-/// hook; does not trigger tuning or disk loading).
+/// Always `None`: the blocking comes from the fixed table in
+/// [`params_for`], so nothing is measured or cached per shape. Callers
+/// that list cached picks probe every combination of their dimensions, and
+/// answering each probe with the table's pick would list some 10⁵–10⁶
+/// shapes that never ran.
 #[must_use]
-pub fn cached_params(tier: DispatchTier, key: ShapeKey) -> Option<KernelParams> {
-    cache()
-        .lock()
-        .expect("autotune cache poisoned")
-        .map
-        .get(&(tier, key))
-        .copied()
-}
-
-/// Drops every cached profile and forgets the disk cache was loaded
-/// (test hook: forces the next [`params_for`] down the cold-tune path).
-pub fn reset_profile_cache() {
-    let mut c = cache().lock().expect("autotune cache poisoned");
-    c.map.clear();
-    c.disk_loaded = false;
-}
-
-/// Runs every candidate on the live operands and returns the fastest
-/// (1 warmup + 2 timed runs each, best-of kept; first-listed wins ties).
-fn tune(tier: DispatchTier, key: ShapeKey, a: &MatView<'_>, b: &MatView<'_>) -> KernelParams {
-    let mut out = scratch::take_vec(key.m * key.n);
-    let mut best: Option<(f64, KernelParams)> = None;
-    // Trial runs pack with candidate geometries that mostly lose; strip the
-    // cache identity so they are never admitted (and every rep measures an
-    // honest pack + compute).
-    let b = b.without_key();
-    for params in KernelParams::candidates(tier) {
-        let mut best_ns = f64::INFINITY;
-        for rep in 0..3 {
-            out.fill(0.0);
-            let t0 = Instant::now();
-            super::blocked(
-                a,
-                &b,
-                key.m,
-                key.k,
-                key.n,
-                &mut out,
-                tier,
-                params,
-                super::Epilogue::None,
-            );
-            let ns = t0.elapsed().as_nanos() as f64;
-            if rep > 0 {
-                best_ns = best_ns.min(ns); // rep 0 is the warmup
-            }
-        }
-        if best.map(|(t, _)| best_ns < t).unwrap_or(true) {
-            best = Some((best_ns, params));
-        }
-    }
-    scratch::recycle(out);
-    best.map(|(_, p)| p)
-        .unwrap_or_else(|| KernelParams::heuristic(tier))
-}
-
-// ---------------------------------------------------------------------------
-// Disk persistence (CHIRON_AUTOTUNE_CACHE)
-// ---------------------------------------------------------------------------
-
-fn tier_from_name(name: &str) -> Option<DispatchTier> {
-    Some(match name {
-        "scalar" => DispatchTier::Scalar,
-        "avx2" => DispatchTier::Avx2,
-        "neon" => DispatchTier::Neon,
-        _ => return None,
-    })
-}
-
-/// Merges profiles from a `CHIRON_AUTOTUNE_CACHE` file into `map`. Each
-/// line is `tier m k n layout_a layout_b tile mc kc nc`; malformed lines
-/// and unknown names are skipped (a stale cache degrades to re-tuning,
-/// never to an error).
-fn load_disk_cache(path: &str, map: &mut ProfileMap) {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return;
-    };
-    for line in text.lines() {
-        let f: Vec<&str> = line.split_whitespace().collect();
-        if f.len() != 10 || f[0].starts_with('#') {
-            continue;
-        }
-        let (Some(tier), Some(tile)) = (tier_from_name(f[0]), MicroTile::from_name(f[6])) else {
-            continue;
-        };
-        let nums: Option<Vec<usize>> = f[1..6]
-            .iter()
-            .chain(&f[7..10])
-            .map(|s| s.parse().ok())
-            .collect();
-        let Some(v) = nums else { continue };
-        let key = ShapeKey {
-            m: v[0],
-            k: v[1],
-            n: v[2],
-            layout_a: v[3] as u8,
-            layout_b: v[4] as u8,
-        };
-        let params = KernelParams {
-            tile,
-            mc: v[5],
-            kc: v[6],
-            nc: v[7],
-        };
-        if params.mc > 0 && params.kc > 0 && params.nc > 0 {
-            map.insert((tier, key), params);
-        }
-    }
-}
-
-/// Rewrites the cache file with every profile, sorted for stable diffs.
-/// Write failures are ignored — persistence is an accelerator, not a
-/// correctness surface.
-fn save_disk_cache(path: &str, map: &ProfileMap) {
-    let mut entries: Vec<_> = map.iter().collect();
-    entries.sort_by_key(|&(&(tier, key), _)| (tier.label(), key));
-    let mut text = String::from("# chiron autotune profile cache v1\n");
-    for (&(tier, key), p) in entries {
-        text.push_str(&format!(
-            "{} {} {} {} {} {} {} {} {} {}\n",
-            tier.label(),
-            key.m,
-            key.k,
-            key.n,
-            key.layout_a,
-            key.layout_b,
-            p.tile.name(),
-            p.mc,
-            p.kc,
-            p.nc
-        ));
-    }
-    let _ = std::fs::write(path, text);
+pub fn cached_params(_tier: DispatchTier, _key: ShapeKey) -> Option<KernelParams> {
+    None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn scalar_tier_is_always_pinned() {
-        let key = ShapeKey {
-            m: 640,
-            k: 250,
-            n: 20,
-            layout_a: 0,
-            layout_b: 0,
-        };
-        let data = vec![0.5f32; 640 * 250];
-        let bdata = vec![0.25f32; 250 * 20];
-        let a = MatView::row_major(&data, 640, 250);
-        let b = MatView::row_major(&bdata, 250, 20);
-        let p = params_for(DispatchTier::Scalar, key, &a, &b);
-        assert_eq!(p, KernelParams::pinned_scalar());
-        assert_eq!(p.tile, MicroTile::M8N4);
-    }
-
-    #[test]
-    fn candidate_grid_is_nonempty_and_vector_tiled() {
-        for tier in [DispatchTier::Avx2, DispatchTier::Neon] {
-            let cands = KernelParams::candidates(tier);
-            assert!(!cands.is_empty());
-            assert!(cands.iter().all(|p| p.tile != MicroTile::M8N4));
+    fn key(m: usize, k: usize, n: usize, layout_a: u8, layout_b: u8) -> ShapeKey {
+        ShapeKey {
+            m,
+            k,
+            n,
+            layout_a,
+            layout_b,
         }
     }
 
     #[test]
-    fn disk_cache_round_trips() {
-        let dir = std::env::temp_dir().join(format!("chiron-tune-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("profile.txt");
-        let key = ShapeKey {
-            m: 5760,
-            k: 25,
-            n: 10,
-            layout_a: 0,
-            layout_b: 0,
-        };
-        let params = KernelParams {
-            mc: 128,
-            kc: 256,
-            nc: 512,
-            tile: MicroTile::M12N8,
-        };
-        let mut map = ProfileMap::new();
-        map.insert((DispatchTier::Avx2, key), params);
-        save_disk_cache(path.to_str().unwrap(), &map);
-        let mut back = ProfileMap::new();
-        load_disk_cache(path.to_str().unwrap(), &mut back);
-        assert_eq!(back.get(&(DispatchTier::Avx2, key)), Some(&params));
-        std::fs::remove_dir_all(&dir).ok();
+    fn scalar_tier_is_always_pinned() {
+        for k in [
+            key(640, 250, 20, 0, 0),
+            key(25, 5760, 10, 1, 0),
+            key(640, 20, 250, 0, 1),
+        ] {
+            let p = params_for(DispatchTier::Scalar, k);
+            assert_eq!(p, KernelParams::pinned_scalar());
+            assert_eq!(p.tile, MicroTile::M8N4);
+        }
     }
 
     #[test]
-    fn malformed_cache_lines_are_skipped() {
-        let dir = std::env::temp_dir().join(format!("chiron-tune-bad-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("profile.txt");
-        std::fs::write(
-            &path,
-            "# comment\nbogus line\navx2 1 2 3 0 0 m99n99 64 256 512\n",
-        )
-        .unwrap();
-        let mut map = ProfileMap::new();
-        load_disk_cache(path.to_str().unwrap(), &mut map);
-        assert!(map.is_empty());
-        std::fs::remove_dir_all(&dir).ok();
+    fn vector_tiers_follow_the_table() {
+        for tier in [DispatchTier::Avx2, DispatchTier::Neon] {
+            let tile = |k| params_for(tier, k).tile;
+            assert_eq!(tile(key(25, 5760, 10, 1, 0)), MicroTile::M12N8);
+            assert_eq!(tile(key(250, 640, 200, 1, 0)), MicroTile::M12N8);
+            assert_eq!(tile(key(640, 20, 250, 0, 1)), MicroTile::M4N16);
+            assert_eq!(tile(key(640, 250, 20, 0, 0)), MicroTile::M8N8);
+            let p = params_for(tier, key(5760, 25, 10, 0, 0));
+            assert_eq!((p.mc, p.kc, p.nc), (128, 256, 512));
+        }
     }
 }

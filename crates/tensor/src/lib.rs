@@ -40,12 +40,8 @@ mod tensor;
 
 pub use conv::{col2im, im2col, Conv2dGeometry};
 pub use init::{Init, RngState, TensorRng};
-pub use kernel::pack_cache::{
-    clear_pack_cache, pack_cache_enabled, pack_stats, set_pack_cache_cap_bytes,
-    set_pack_cache_enabled, PackStats,
-};
 pub use kernel::simd::{active_tier, detect, DispatchTier, MicroTile};
-pub use kernel::tune::{cached_params, params_for, reset_profile_cache, KernelParams, ShapeKey};
+pub use kernel::tune::{cached_params, params_for, KernelParams, ShapeKey};
 pub use kernel::{
     matmul_batched_into, matmul_into, matmul_into_ep, matmul_into_with, matmul_views,
     matmul_views_ep, Epilogue, MatView,

@@ -3,7 +3,7 @@
 //! The three matmul variants are thin layout adapters over
 //! [`crate::kernel`]: each wraps its operands in the [`MatView`] describing
 //! how the data is stored and lets the kernel pick the direct or blocked
-//! path — and, on the blocked path, the SIMD dispatch tier and autotuned
+//! path — and, on the blocked path, the SIMD dispatch tier and the table's
 //! blocking. All of that dispatch is numerically invisible — see the kernel
 //! module docs for the canonical-accumulation-order argument.
 
@@ -16,11 +16,6 @@ impl Tensor {
     /// Both operands are interpreted as matrices via
     /// [`crate::Shape::as_matrix`], so a rank-1 tensor acts as a row vector.
     ///
-    /// The B operand carries its [`pack_key`](Tensor::pack_key) so the
-    /// blocked kernel may reuse its packed panels across calls: in every
-    /// hot product of this codebase the recurring operand (a weight
-    /// matrix) sits on the B side.
-    ///
     /// # Panics
     ///
     /// Panics if the inner dimensions disagree.
@@ -29,7 +24,7 @@ impl Tensor {
         let (k2, n) = rhs.shape().as_matrix();
         matmul_views(
             &MatView::row_major(self.as_slice(), m, k),
-            &MatView::row_major(rhs.as_slice(), k2, n).keyed(rhs.pack_key()),
+            &MatView::row_major(rhs.as_slice(), k2, n),
         )
     }
 
@@ -48,7 +43,7 @@ impl Tensor {
         assert_eq!(bias.shape().rank(), 1, "matmul_bias: bias must be rank-1");
         matmul_views_ep(
             &MatView::row_major(self.as_slice(), m, k),
-            &MatView::row_major(rhs.as_slice(), k2, n).keyed(rhs.pack_key()),
+            &MatView::row_major(rhs.as_slice(), k2, n),
             Epilogue::Bias(bias.as_slice()),
         )
     }
@@ -71,7 +66,7 @@ impl Tensor {
         );
         matmul_views_ep(
             &MatView::row_major(self.as_slice(), m, k),
-            &MatView::row_major(rhs.as_slice(), k2, n).keyed(rhs.pack_key()),
+            &MatView::row_major(rhs.as_slice(), k2, n),
             Epilogue::BiasRelu(bias.as_slice()),
         )
     }
@@ -89,7 +84,7 @@ impl Tensor {
         let (k2, n) = rhs.shape().as_matrix();
         matmul_views(
             &MatView::transposed(self.as_slice(), m, k),
-            &MatView::row_major(rhs.as_slice(), k2, n).keyed(rhs.pack_key()),
+            &MatView::row_major(rhs.as_slice(), k2, n),
         )
     }
 
@@ -105,7 +100,7 @@ impl Tensor {
         let (n, k2) = rhs.shape().as_matrix();
         matmul_views(
             &MatView::row_major(self.as_slice(), m, k),
-            &MatView::transposed(rhs.as_slice(), k2, n).keyed(rhs.pack_key()),
+            &MatView::transposed(rhs.as_slice(), k2, n),
         )
     }
 

@@ -2,7 +2,7 @@
 
 use crate::{
     col2im, detect, im2col, matmul_into_with, Conv2dGeometry, DispatchTier, Init, KernelParams,
-    MatView, MicroTile, Tensor, TensorRng,
+    MatView, Tensor, TensorRng,
 };
 use proptest::prelude::*;
 
@@ -203,7 +203,7 @@ proptest! {
             &av, &bv, &mut scalar, DispatchTier::Scalar, KernelParams::pinned_scalar(),
         );
         let sb: Vec<u32> = scalar.iter().map(|v| v.to_bits()).collect();
-        for &tile in MicroTile::candidates(tier) {
+        for tile in crate::kernel::simd::ALL_TILES {
             let params = KernelParams { mc: 64, kc: 256, nc: 512, tile };
             let mut out = vec![0.0f32; m * n];
             matmul_into_with(&av, &bv, &mut out, tier, params);
@@ -232,7 +232,7 @@ proptest! {
             &av, &bv, &mut scalar, DispatchTier::Scalar, KernelParams::pinned_scalar(),
         );
         let sb: Vec<u32> = scalar.iter().map(|v| v.to_bits()).collect();
-        for &tile in MicroTile::candidates(tier) {
+        for tile in crate::kernel::simd::ALL_TILES {
             let params = KernelParams { mc: 64, kc: 256, nc: 512, tile };
             let mut out = vec![0.0f32; m * n];
             matmul_into_with(&av, &bv, &mut out, tier, params);
@@ -255,7 +255,7 @@ proptest! {
     }
 }
 
-/// Special values sprinkled into operands by the cache/epilogue equality
+/// Special values sprinkled into operands by the epilogue equality
 /// sweeps: NaN payloads, signed zeros, subnormals, and near-overflow
 /// magnitudes all have to survive every code path bitwise.
 const SPECIALS: [f32; 8] = [
@@ -280,45 +280,12 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
-// Packed-operand-cache and fused-epilogue equality sweeps. The cache and
-// the epilogues are performance features that must be bitwise invisible;
-// these run the same product with the feature forced off and forced on
-// (cold → admitted → hot) and require identical bits, on both the direct
-// and blocked dispatch paths, across all B layouts the nn stack uses.
+// Fused-epilogue equality sweeps. The epilogues are a performance feature
+// that must be bitwise invisible; these run the same product fused and
+// unfused and require identical bits, on both the direct and blocked
+// dispatch paths.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
-
-    #[test]
-    fn pack_cache_on_off_is_bitwise_invisible(
-        m in 60usize..100, k in 240usize..280, n in 33usize..70, seed in 0u64..1000,
-        picks in proptest::collection::vec((0usize..1 << 16, 0usize..16), 0..10),
-    ) {
-        let _g = crate::kernel::pack_cache::test_override_lock();
-        let mut rng = TensorRng::seed_from(seed);
-        let a = rng.init(&[m, k], Init::Normal(1.0));
-        let mut b = rng.init(&[k, n], Init::Normal(1.0));
-        let mut b_t = rng.init(&[n, k], Init::Normal(1.0));
-        sprinkle(b.as_mut_slice(), &picks, 0);
-        sprinkle(b_t.as_mut_slice(), &picks, 3);
-
-        crate::set_pack_cache_enabled(Some(false));
-        crate::clear_pack_cache();
-        let plain_nn = bits(&a.matmul(&b));
-        let plain_nt = bits(&a.matmul_nt(&b_t));
-
-        crate::set_pack_cache_enabled(Some(true));
-        crate::clear_pack_cache();
-        // Three passes: first sighting (uncached), admission (packs into
-        // the cache), and a hot hit serving the cached panels. RowMajor
-        // and ColMajor B exercise both packing specializations.
-        for pass in 0..3 {
-            prop_assert_eq!(&bits(&a.matmul(&b)), &plain_nn, "matmul pass {}", pass);
-            prop_assert_eq!(&bits(&a.matmul_nt(&b_t)), &plain_nt, "matmul_nt pass {}", pass);
-        }
-
-        crate::set_pack_cache_enabled(None);
-        crate::clear_pack_cache();
-    }
 
     #[test]
     fn fused_epilogues_match_unfused_bitwise_blocked(
@@ -360,54 +327,6 @@ proptest! {
         let unfused_relu = unfused.map(|x| x.max(0.0));
         prop_assert_eq!(bits(&a.matmul_bias_relu(&b, &bias)), bits(&unfused_relu));
     }
-}
-
-/// Mutating a cached operand through any mutation surface must invalidate
-/// its cache identity: the next product repacks and reflects the new
-/// bytes, never the stale panels.
-#[test]
-fn mutated_operand_never_serves_stale_packs() {
-    let _g = crate::kernel::pack_cache::test_override_lock();
-    crate::set_pack_cache_enabled(Some(true));
-    crate::clear_pack_cache();
-
-    let (m, k, n) = (70, 260, 48); // blocked path
-    let mut rng = TensorRng::seed_from(42);
-    let a = rng.init(&[m, k], Init::Normal(1.0));
-    let mut b = rng.init(&[k, n], Init::Normal(1.0));
-    // Warm past the seen-once admission gate so the panels are resident.
-    let _ = a.matmul(&b);
-    let _ = a.matmul(&b);
-    let hits_before = crate::pack_stats().hits;
-    let _ = a.matmul(&b);
-    assert!(
-        crate::pack_stats().hits > hits_before,
-        "warmup should leave the packed operand hot in the cache"
-    );
-
-    b.as_mut_slice()[k * n / 2] += 1.0;
-    let naive = {
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0.0f32;
-                for kk in 0..k {
-                    acc += a.as_slice()[i * k + kk] * b.as_slice()[kk * n + j];
-                }
-                out[i * n + j] = acc;
-            }
-        }
-        out
-    };
-    let fresh = a.matmul(&b);
-    assert_eq!(
-        bits(&fresh),
-        naive.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        "stale cached panels served after mutation"
-    );
-
-    crate::set_pack_cache_enabled(None);
-    crate::clear_pack_cache();
 }
 
 /// `matmul_batched_into` must be bitwise-equal to issuing the same GEMMs

@@ -8,20 +8,6 @@
 use crate::{scratch, Shape};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Index, IndexMut, Mul, Neg, Sub};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Global stamp source for tensor identity.
-///
-/// Fresh tensors take a new `id`; every mutation takes a new `version`
-/// stamp. Drawing both from one monotone counter guarantees that a given
-/// `(id, version)` pair names exactly one byte-for-byte content, even when
-/// clones of the same tensor diverge independently: each divergent
-/// mutation gets a stamp no other tensor has ever used as a version.
-static STAMP: AtomicU64 = AtomicU64::new(1);
-
-fn next_stamp() -> u64 {
-    STAMP.fetch_add(1, Ordering::Relaxed)
-}
 
 /// An owned, row-major, dense `f32` tensor.
 ///
@@ -44,17 +30,10 @@ fn next_stamp() -> u64 {
 pub struct Tensor {
     data: Vec<f32>,
     shape: Shape,
-    /// Stable identity shared by clones; see [`Tensor::pack_key`].
-    id: u64,
-    /// Content stamp, replaced on every mutation; see [`Tensor::pack_key`].
-    version: u64,
 }
 
 impl PartialEq for Tensor {
     fn eq(&self, other: &Self) -> bool {
-        // Identity stamps are deliberately excluded: equality is
-        // value-equality over shape and contents, so a clone (same id) and
-        // an independently built tensor (different id) compare the same way.
         self.shape.same_as(&other.shape) && self.data == other.data
     }
 }
@@ -63,14 +42,9 @@ impl Clone for Tensor {
     fn clone(&self) -> Self {
         let mut data = scratch::take_vec_with_capacity(self.data.len());
         data.extend_from_slice(&self.data);
-        // Clones share the source's (id, version): contents are identical,
-        // so packed panels cached for the source serve the clone too. The
-        // first mutation of either side re-stamps it (see `touch`).
         Self {
             data,
             shape: self.shape.clone(),
-            id: self.id,
-            version: self.version,
         }
     }
 }
@@ -82,38 +56,6 @@ impl Drop for Tensor {
 }
 
 impl Tensor {
-    /// Wraps freshly produced contents in a new identity: a new `id` and a
-    /// version stamp no cached pack can refer to yet.
-    fn fresh(data: Vec<f32>, shape: Shape) -> Self {
-        Self {
-            data,
-            shape,
-            id: next_stamp(),
-            version: 0,
-        }
-    }
-
-    /// Re-stamps the tensor after a mutation so stale packed panels keyed by
-    /// the previous `(id, version)` can never be mistaken for its new
-    /// contents. Must be called by every mutation path, including interior
-    /// ones that write `self.data` directly.
-    fn touch(&mut self) {
-        self.version = next_stamp();
-    }
-
-    /// The `(id, version)` pair identifying this tensor's current contents.
-    ///
-    /// The pair is stable while the tensor is unmodified, shared with
-    /// clones (which hold byte-identical data), and replaced by a globally
-    /// unique stamp on every mutation. The kernel's packed-operand cache
-    /// keys on it: equal keys imply byte-identical contents, so a panel
-    /// packed for one tensor may be reused for any tensor carrying the same
-    /// key. The converse does not hold — value-equal tensors built
-    /// independently get distinct keys.
-    pub fn pack_key(&self) -> (u64, u64) {
-        (self.id, self.version)
-    }
-
     /// Creates a tensor from a flat vector and a shape.
     ///
     /// # Panics
@@ -129,14 +71,17 @@ impl Tensor {
             shape,
             shape.numel()
         );
-        Self::fresh(data, shape)
+        Self { data, shape }
     }
 
     /// Creates a rank-0 tensor holding a single value.
     pub fn scalar(value: f32) -> Self {
         let mut data = scratch::take_vec_with_capacity(1);
         data.push(value);
-        Self::fresh(data, Shape::scalar())
+        Self {
+            data,
+            shape: Shape::scalar(),
+        }
     }
 
     /// Creates a tensor filled with `value`.
@@ -144,7 +89,7 @@ impl Tensor {
         let shape = Shape::new(dims);
         let mut data = scratch::take_vec_with_capacity(shape.numel());
         data.resize(shape.numel(), value);
-        Self::fresh(data, shape)
+        Self { data, shape }
     }
 
     /// Creates a zero-filled tensor.
@@ -159,7 +104,10 @@ impl Tensor {
 
     /// Creates a zero tensor with the same shape as `self`.
     pub fn zeros_like(&self) -> Self {
-        Self::fresh(scratch::take_vec(self.data.len()), self.shape.clone())
+        Self {
+            data: scratch::take_vec(self.data.len()),
+            shape: self.shape.clone(),
+        }
     }
 
     /// The `n × n` identity matrix.
@@ -206,11 +154,7 @@ impl Tensor {
     }
 
     /// Mutably borrows the underlying row-major data.
-    ///
-    /// Conservatively re-stamps the tensor's version (the borrow may be
-    /// used to write), invalidating any cached packed panels for it.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        self.touch();
         &mut self.data
     }
 
@@ -252,19 +196,21 @@ impl Tensor {
         );
         let mut data = scratch::take_vec_with_capacity(self.data.len());
         data.extend_from_slice(&self.data);
-        Tensor::fresh(data, shape)
+        Tensor { data, shape }
     }
 
     /// Applies `f` to every element, producing a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         let mut data = scratch::take_vec_with_capacity(self.data.len());
         data.extend(self.data.iter().map(|&x| f(x)));
-        Tensor::fresh(data, self.shape.clone())
+        Tensor {
+            data,
+            shape: self.shape.clone(),
+        }
     }
 
     /// Applies `f` to every element in place.
     pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        self.touch();
         for x in &mut self.data {
             *x = f(*x);
         }
@@ -279,7 +225,10 @@ impl Tensor {
         self.assert_same_shape(other, "zip");
         let mut data = scratch::take_vec_with_capacity(self.data.len());
         data.extend(self.data.iter().zip(&other.data).map(|(&a, &b)| f(a, b)));
-        Tensor::fresh(data, self.shape.clone())
+        Tensor {
+            data,
+            shape: self.shape.clone(),
+        }
     }
 
     /// `self += alpha * other`, the BLAS `axpy` primitive used by optimizers.
@@ -289,7 +238,6 @@ impl Tensor {
     /// Panics on shape mismatch.
     pub fn axpy(&mut self, alpha: f32, other: &Tensor) {
         self.assert_same_shape(other, "axpy");
-        self.touch();
         for (a, &b) in self.data.iter_mut().zip(&other.data) {
             *a += alpha * b;
         }
@@ -297,7 +245,6 @@ impl Tensor {
 
     /// Multiplies every element by `s` in place.
     pub fn scale_inplace(&mut self, s: f32) {
-        self.touch();
         for x in &mut self.data {
             *x *= s;
         }
@@ -310,7 +257,6 @@ impl Tensor {
 
     /// Sets every element to zero (gradient reset).
     pub fn fill(&mut self, value: f32) {
-        self.touch();
         for x in &mut self.data {
             *x = value;
         }
@@ -339,7 +285,6 @@ impl Tensor {
             cols
         );
         let mut out = self.clone();
-        out.touch();
         for r in 0..rows {
             for c in 0..cols {
                 out.data[r * cols + c] += row.data[c];
@@ -396,7 +341,6 @@ impl Index<&[usize]> for Tensor {
 impl IndexMut<&[usize]> for Tensor {
     fn index_mut(&mut self, index: &[usize]) -> &mut f32 {
         let off = self.shape.offset(index);
-        self.touch();
         &mut self.data[off]
     }
 }
@@ -523,59 +467,9 @@ mod tests {
     }
 
     #[test]
-    fn pack_key_is_shared_by_clones_and_replaced_on_mutation() {
-        let t = Tensor::from_vec(vec![1.0, 2.0], &[2]);
-        let c = t.clone();
-        assert_eq!(t.pack_key(), c.pack_key(), "clones share identity");
-
-        let u = Tensor::from_vec(vec![1.0, 2.0], &[2]);
-        assert_ne!(t.pack_key(), u.pack_key(), "independent tensors differ");
-
-        let mut a = t.clone();
-        let mut b = t.clone();
-        let before = t.pack_key();
-        a.as_mut_slice()[0] = 9.0;
-        b.fill(7.0);
-        assert_ne!(a.pack_key(), before, "mutation re-stamps");
-        assert_ne!(b.pack_key(), before, "mutation re-stamps");
-        assert_ne!(
-            a.pack_key(),
-            b.pack_key(),
-            "divergent clones never collide on a key"
-        );
-        assert_eq!(t.pack_key(), before, "source is untouched");
-    }
-
-    #[test]
-    fn every_mutation_surface_bumps_version() {
-        let src = Tensor::ones(&[2, 2]);
-        let key = src.pack_key();
-
-        let mut t = src.clone();
-        t.map_inplace(|x| x + 1.0);
-        assert_ne!(t.pack_key(), key);
-
-        let mut t = src.clone();
-        t.axpy(1.0, &src);
-        assert_ne!(t.pack_key(), key);
-
-        let mut t = src.clone();
-        t.scale_inplace(2.0);
-        assert_ne!(t.pack_key(), key);
-
-        let mut t = src.clone();
-        t[&[0, 0][..]] = 5.0;
-        assert_ne!(t.pack_key(), key);
-
-        let y = src.add_row_broadcast(&Tensor::ones(&[2]));
-        assert_ne!(y.pack_key(), key, "broadcast result is distinct content");
-    }
-
-    #[test]
-    fn equality_ignores_identity_stamps() {
+    fn equality_compares_shape_and_values() {
         let a = Tensor::from_vec(vec![1.0, 2.0], &[2]);
         let b = Tensor::from_vec(vec![1.0, 2.0], &[2]);
-        assert_ne!(a.pack_key(), b.pack_key());
         assert_eq!(a, b);
         assert_ne!(a, Tensor::from_vec(vec![1.0, 2.0], &[2, 1]));
     }

@@ -1,18 +1,18 @@
 //! SIMD dispatch-tier determinism, proven end to end.
 //!
 //! The kernel's contract (see `chiron_tensor::kernel` docs) is that every
-//! dispatch tier — pinned scalar, AVX2, NEON — and every autotuned blocking
-//! choice produces **bitwise-identical** output. These tests drive the
-//! public matmul API exactly as the training stack does (so the active
-//! tier, the autotuner, and the `CHIRON_SIMD` / `CHIRON_AUTOTUNE` knobs all
-//! apply) and compare against the pinned scalar reference configuration via
+//! dispatch tier — pinned scalar, AVX2, NEON — and every blocking the fixed
+//! table can pick produces **bitwise-identical** output. These tests drive
+//! the public matmul API exactly as the training stack does (so the active
+//! tier, the blocking table and the `CHIRON_SIMD` knob all apply) and
+//! compare against the pinned scalar reference configuration via
 //! [`chiron_tensor::matmul_into_with`]. CI runs this suite across the
 //! `CHIRON_SIMD={0,1} × CHIRON_THREADS={1,4,8}` matrix; in-process we also
 //! sweep the pool size directly.
 
 use chiron_tensor::{
-    cached_params, detect, matmul_into_with, params_for, pool, reset_profile_cache, DispatchTier,
-    Init, KernelParams, MatView, ShapeKey, TensorRng,
+    detect, matmul_into_with, params_for, pool, DispatchTier, Init, KernelParams, MatView,
+    MicroTile, ShapeKey, TensorRng,
 };
 
 /// The paper's conv im2col products (MNIST CNN forward shapes) plus one
@@ -47,8 +47,8 @@ fn active_tier_honors_chiron_simd() {
     }
 }
 
-/// The env-honoring public path (whatever tier and autotuned blocking this
-/// process resolved) must equal the pinned scalar reference bitwise at the
+/// The env-honoring public path (whatever tier this process resolved, and
+/// the table's blocking for it) must equal the pinned scalar reference bitwise at the
 /// paper's shapes, at several pool sizes.
 #[test]
 fn public_matmul_matches_pinned_scalar_reference_bitwise() {
@@ -99,59 +99,74 @@ fn transposed_variants_match_pinned_scalar_reference_bitwise() {
     }
 }
 
-/// Satellite regression: tuning a paper shape cold, then hitting the warm
-/// cache, must return the identical parameters — and both choices (and the
-/// static heuristic, and every other candidate) produce bitwise-identical
-/// output, so a timing-noise-dependent winner can never change results.
+/// The ten GEMM shapes a traced `real_episode` runs (the MNIST CNN's conv
+/// and fc products in training and evaluation), in their traced layouts:
+/// `(m, k, n, a col-major, b col-major)`.
+const TRACED: [(usize, usize, usize, bool, bool); 10] = [
+    (5760, 25, 10, false, false),
+    (36864, 25, 10, false, false),
+    (4608, 25, 10, false, false),
+    (25, 5760, 10, true, false),
+    (640, 250, 20, false, false),
+    (512, 250, 20, false, false),
+    (4096, 250, 20, false, false),
+    (250, 640, 20, true, false),
+    (640, 20, 250, false, true),
+    (64, 320, 50, false, false),
+];
+
+/// Every tile the blocking table can return on the active tier, in the
+/// table's blocking, must equal the pinned scalar reference bitwise on the
+/// traced shapes — so whichever row of the table a shape lands on, its
+/// output bits are the reference's.
 #[test]
-fn autotuner_cold_then_warm_is_pinned_and_bitwise_stable() {
+fn blocking_table_tiles_match_pinned_scalar_on_traced_shapes() {
     let tier = chiron_tensor::active_tier();
-    // A shape unique to this test so parallel tests in this binary cannot
-    // interleave their own cache entries under the same key.
-    let (m, k, n) = (641, 250, 21);
-    let key = ShapeKey {
-        m,
-        k,
-        n,
-        layout_a: 0,
-        layout_b: 0,
+    let tiles: &[MicroTile] = if tier == DispatchTier::Scalar {
+        &[MicroTile::M8N4]
+    } else {
+        &[MicroTile::M8N8, MicroTile::M12N8, MicroTile::M4N16]
     };
     let mut rng = TensorRng::seed_from(9);
-    let a = rng.init(&[m, k], Init::Normal(1.0));
-    let b = rng.init(&[k, n], Init::Normal(1.0));
-    let av = MatView::row_major(a.as_slice(), m, k);
-    let bv = MatView::row_major(b.as_slice(), k, n);
-
-    reset_profile_cache();
-    let cold = params_for(tier, key, &av, &bv);
-    let warm = params_for(tier, key, &av, &bv);
-    assert_eq!(cold, warm, "warm cache hit changed the tuned parameters");
-    if tier != DispatchTier::Scalar {
-        assert_eq!(
-            cached_params(tier, key),
-            Some(cold),
-            "tuned profile was not cached"
-        );
-    }
-
-    let mut reference = vec![0.0f32; m * n];
-    matmul_into_with(&av, &bv, &mut reference, tier, cold);
-    for params in [
-        warm,
-        KernelParams::heuristic(tier),
-        KernelParams::pinned_scalar(),
-    ] {
-        let run_tier = if params.tile == chiron_tensor::MicroTile::M8N4 {
-            DispatchTier::Scalar
+    for (m, k, n, a_col, b_col) in TRACED {
+        let a = rng.init(&[m, k], Init::Normal(1.0));
+        let b = rng.init(&[k, n], Init::Normal(1.0));
+        let av = if a_col {
+            MatView::transposed(a.as_slice(), m, k)
         } else {
-            tier
+            MatView::row_major(a.as_slice(), m, k)
         };
-        let mut out = vec![0.0f32; m * n];
-        matmul_into_with(&av, &bv, &mut out, run_tier, params);
-        assert_eq!(
-            bits(&out),
-            bits(&reference),
-            "params {params:?} changed output bits"
+        let bv = if b_col {
+            MatView::transposed(b.as_slice(), k, n)
+        } else {
+            MatView::row_major(b.as_slice(), k, n)
+        };
+        let key = ShapeKey {
+            m,
+            k,
+            n,
+            layout_a: u8::from(a_col),
+            layout_b: u8::from(b_col),
+        };
+        let pick = params_for(tier, key);
+        assert!(tiles.contains(&pick.tile), "{key:?} picked {pick:?}");
+        let mut want = vec![0.0f32; m * n];
+        matmul_into_with(
+            &av,
+            &bv,
+            &mut want,
+            DispatchTier::Scalar,
+            KernelParams::pinned_scalar(),
         );
+        for &tile in tiles {
+            let params = KernelParams { tile, ..pick };
+            let mut out = vec![0.0f32; m * n];
+            matmul_into_with(&av, &bv, &mut out, tier, params);
+            assert_eq!(
+                bits(&out),
+                bits(&want),
+                "{key:?} with {params:?} diverged from pinned scalar"
+            );
+        }
     }
 }

@@ -96,8 +96,8 @@ fn federated_round_is_allocation_free_after_warmup() {
             weights: &weights,
         });
     };
-    // Warmup grows the replica pool and seeds every arena bucket (and, when
-    // the pack cache is enabled, admits the eval-time weight panels).
+    // Warmup grows the replica pool and seeds every arena bucket, the
+    // packed-panel buckets included.
     for k in 1..=2 {
         round(&mut oracle, k);
     }
