@@ -9,7 +9,7 @@ use chiron_bench::{
     write_reward_chart,
 };
 use chiron_data::DatasetKind;
-use chiron_tensor::scope;
+use chiron_tensor::pool;
 
 fn main() {
     let episodes = episodes_from_env(500);
@@ -19,26 +19,24 @@ fn main() {
         "Fig. 7: training Chiron and DRL-based at 100 nodes (MNIST, η = 300), {episodes} episodes"
     );
     // The two trainings are independent (each owns its env), so they run
-    // as one coarse scope; output is printed after the join, in figure
+    // as one named region; output is printed after the join, in figure
     // order, and each curve is bitwise-identical to a sequential run.
     let mut chiron_rewards: Vec<f64> = Vec::new();
     let mut drl_rewards: Vec<f64> = Vec::new();
     let t0 = std::time::Instant::now();
-    scope::scope("bench.fig7_train", |s| {
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
-            Box::new(|| {
-                let mut env = make_env(DatasetKind::MnistLike, 100, 300.0, seed);
-                let mut chiron = Chiron::new(&env, ChironConfig::paper(), seed);
-                chiron_rewards = chiron.train(&mut env, episodes);
-            }),
-            Box::new(|| {
-                let mut env = make_env(DatasetKind::MnistLike, 100, 300.0, seed);
-                let mut drl = DrlSingleRound::new(&env, seed);
-                drl_rewards = drl.train(&mut env, episodes);
-            }),
-        ];
-        s.run(tasks);
-    });
+    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
+        Box::new(|| {
+            let mut env = make_env(DatasetKind::MnistLike, 100, 300.0, seed);
+            let mut chiron = Chiron::new(&env, ChironConfig::paper(), seed);
+            chiron_rewards = chiron.train(&mut env, episodes);
+        }),
+        Box::new(|| {
+            let mut env = make_env(DatasetKind::MnistLike, 100, 300.0, seed);
+            let mut drl = DrlSingleRound::new(&env, seed);
+            drl_rewards = drl.train(&mut env, episodes);
+        }),
+    ];
+    pool::run("bench.fig7_train", tasks);
     println!("trained both in {:.1?}", t0.elapsed());
 
     println!("\nFig. 7(a): Chiron at 100 nodes");

@@ -4,7 +4,7 @@
 use chiron::{Chiron, ChironConfig, EpisodeRun, Mechanism};
 use chiron_bench::{episodes_from_env, make_env, write_csv};
 use chiron_data::DatasetKind;
-use chiron_tensor::scope;
+use chiron_tensor::pool;
 
 const PAPER: [(f64, f64, usize, f64); 4] = [
     (140.0, 0.916, 16, 71.3),
@@ -27,14 +27,12 @@ fn main() {
     // restores the trained snapshot into its own replica, so the four
     // rows compute concurrently and join in table order.
     let snap = chiron.snapshot();
-    let rows = scope::scope("bench.table1_cells", |s| {
-        s.map(&PAPER, |_, &(budget, ..)| {
-            let mut eval_env = make_env(DatasetKind::MnistLike, 100, budget, seed);
-            let mut replica = Chiron::new(&eval_env, ChironConfig::paper(), seed);
-            snap.restore(&mut replica).expect("same architecture");
-            let (summary, _) = replica.run_episode(&mut eval_env);
-            summary
-        })
+    let rows = pool::map("bench.table1_cells", &PAPER, |_, &(budget, ..)| {
+        let mut eval_env = make_env(DatasetKind::MnistLike, 100, budget, seed);
+        let mut replica = Chiron::new(&eval_env, ChironConfig::paper(), seed);
+        snap.restore(&mut replica).expect("same architecture");
+        let (summary, _) = replica.run_episode(&mut eval_env);
+        summary
     });
 
     println!(

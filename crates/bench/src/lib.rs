@@ -37,7 +37,7 @@ use chiron_baselines::{DrlSingleRound, Greedy};
 use chiron_data::DatasetKind;
 use chiron_fedsim::metrics::EpisodeSummary;
 use chiron_fedsim::{EdgeLearningEnv, EnvConfig};
-use chiron_tensor::scope;
+use chiron_tensor::pool;
 use std::path::PathBuf;
 
 /// Where experiment CSVs land (`target/experiments/`).
@@ -88,7 +88,7 @@ impl Contenders {
     /// Trains all three mechanisms on the same task at `train_budget`.
     ///
     /// The three trainings are independent (each builds its own
-    /// identically seeded env), so they run as one coarse scope — three
+    /// identically seeded env), so they run as one named region — three
     /// tasks joined in fixed mechanism order, bitwise-identical to the
     /// historical sequential loop at any thread count.
     pub fn train(
@@ -101,29 +101,27 @@ impl Contenders {
         let mut chiron: Option<Chiron> = None;
         let mut drl: Option<DrlSingleRound> = None;
         let mut greedy: Option<Greedy> = None;
-        scope::scope("bench.contenders_train", |s| {
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
-                Box::new(|| {
-                    let mut env = make_env(kind, nodes, train_budget, seed);
-                    let mut m = Chiron::new(&env, ChironConfig::paper(), seed);
-                    m.train(&mut env, episodes);
-                    chiron = Some(m);
-                }),
-                Box::new(|| {
-                    let mut env = make_env(kind, nodes, train_budget, seed);
-                    let mut m = DrlSingleRound::new(&env, seed);
-                    m.train(&mut env, episodes);
-                    drl = Some(m);
-                }),
-                Box::new(|| {
-                    let mut env = make_env(kind, nodes, train_budget, seed);
-                    let mut m = Greedy::new(&env, seed);
-                    m.train(&mut env, episodes);
-                    greedy = Some(m);
-                }),
-            ];
-            s.run(tasks);
-        });
+        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
+            Box::new(|| {
+                let mut env = make_env(kind, nodes, train_budget, seed);
+                let mut m = Chiron::new(&env, ChironConfig::paper(), seed);
+                m.train(&mut env, episodes);
+                chiron = Some(m);
+            }),
+            Box::new(|| {
+                let mut env = make_env(kind, nodes, train_budget, seed);
+                let mut m = DrlSingleRound::new(&env, seed);
+                m.train(&mut env, episodes);
+                drl = Some(m);
+            }),
+            Box::new(|| {
+                let mut env = make_env(kind, nodes, train_budget, seed);
+                let mut m = Greedy::new(&env, seed);
+                m.train(&mut env, episodes);
+                greedy = Some(m);
+            }),
+        ];
+        pool::run("bench.contenders_train", tasks);
         Self {
             chiron: chiron.expect("chiron training task ran"),
             drl: drl.expect("drl training task ran"),
@@ -187,7 +185,7 @@ pub fn seeds_from_env(default: usize) -> usize {
 }
 
 /// [`run_budget_panel`] replicated over several seeds **in parallel** (one
-/// coarse task per seed on the shared worker pool), with per-(mechanism,
+/// task per seed on the shared worker pool), with per-(mechanism,
 /// budget) summaries averaged across replications.
 ///
 /// # Panics
@@ -207,15 +205,11 @@ pub fn run_budget_panel_replicated(
     }
     // Seed cells are fully independent; results are collected in seed
     // order, so the averages below see the same inputs as a serial sweep.
-    let runs: Vec<Vec<PanelPoint>> = scope::scope("bench.panel_replications", |s| {
-        let tasks: Vec<Box<dyn FnOnce() -> Vec<PanelPoint> + Send + '_>> = (0..replications)
-            .map(|r| {
-                let seed = base_seed.wrapping_add(r as u64 * 1009);
-                Box::new(move || run_budget_panel(kind, nodes, budgets, episodes, seed))
-                    as Box<dyn FnOnce() -> Vec<PanelPoint> + Send + '_>
-            })
-            .collect();
-        s.run(tasks)
+    let seeds: Vec<u64> = (0..replications)
+        .map(|r| base_seed.wrapping_add(r as u64 * 1009))
+        .collect();
+    let runs: Vec<Vec<PanelPoint>> = pool::map("bench.panel_replications", &seeds, |_, &seed| {
+        run_budget_panel(kind, nodes, budgets, episodes, seed)
     });
 
     // Dispersion digest: accuracy spread per mechanism at the largest budget.
@@ -274,14 +268,12 @@ pub fn run_budget_panel(
         drl,
         greedy,
     } = &mut contenders;
-    let rows = scope::scope("bench.budget_panel_eval", |s| {
-        let tasks: Vec<Box<dyn FnOnce() -> Vec<PanelPoint> + Send + '_>> = vec![
-            Box::new(move || eval_budget_cells(chiron, kind, nodes, budgets, seed)),
-            Box::new(move || eval_budget_cells(drl, kind, nodes, budgets, seed)),
-            Box::new(move || eval_budget_cells(greedy, kind, nodes, budgets, seed)),
-        ];
-        s.run(tasks)
-    });
+    let tasks: Vec<Box<dyn FnOnce() -> Vec<PanelPoint> + Send + '_>> = vec![
+        Box::new(move || eval_budget_cells(chiron, kind, nodes, budgets, seed)),
+        Box::new(move || eval_budget_cells(drl, kind, nodes, budgets, seed)),
+        Box::new(move || eval_budget_cells(greedy, kind, nodes, budgets, seed)),
+    ];
+    let rows = pool::run("bench.budget_panel_eval", tasks);
     rows.into_iter().flatten().collect()
 }
 

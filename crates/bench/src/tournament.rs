@@ -13,7 +13,7 @@
 //!
 //! Determinism contract: every cell owns its environment and mechanism,
 //! both derived from the cell's `(scenario, replication)` seed; cells fan
-//! out on the shared worker pool through `chiron_tensor::scope` with
+//! out on the shared worker pool through `chiron_tensor::pool::map` with
 //! index-ordered joins, so the grid — and the emitted JSON — is
 //! bitwise-identical at any `--jobs`/`CHIRON_THREADS` setting. Nothing
 //! wall-clock-dependent is recorded.
@@ -26,7 +26,7 @@ use chiron_fedsim::faults::FaultProcessConfig;
 use chiron_fedsim::fleet::{DataVolumes, FleetConfig};
 use chiron_fedsim::metrics::EpisodeSummary;
 use chiron_fedsim::{EdgeLearningEnv, EnvConfig, Participation};
-use chiron_tensor::scope;
+use chiron_tensor::pool;
 use serde::{Deserialize, Serialize};
 
 /// One tournament environment scenario.
@@ -224,31 +224,21 @@ pub fn run_grid(
             }
         }
     }
-    let outcomes: Vec<CellOutcome> = scope::scope("bench.tournament", |s| {
-        let tasks: Vec<Box<dyn FnOnce() -> CellOutcome + Send + '_>> = grid
-            .iter()
-            .map(|cell| {
-                Box::new(move || {
-                    let mut env = (cell.scenario.build)(cell.seed);
-                    let params = MechanismParams::new(cell.seed);
-                    let mut mech = (cell.spec.build)(&env, &params).unwrap_or_else(|err| {
-                        panic!("registry entry {} failed to build: {err}", cell.spec.id)
-                    });
-                    mech.train(&mut env, episodes);
-                    let mut env = (cell.scenario.build)(cell.seed);
-                    let (summary, _) = mech.run_episode(&mut env);
-                    CellOutcome {
-                        mechanism: mech.name(),
-                        scenario: cell.scenario.id,
-                        seed: cell.seed,
-                        summary,
-                    }
-                }) as Box<dyn FnOnce() -> CellOutcome + Send + '_>
-            })
-            .collect();
-        s.run(tasks)
-    });
-    outcomes
+    pool::map("bench.tournament", &grid, |_, cell| {
+        let mut env = (cell.scenario.build)(cell.seed);
+        let params = MechanismParams::new(cell.seed);
+        let mut mech = (cell.spec.build)(&env, &params)
+            .unwrap_or_else(|err| panic!("registry entry {} failed to build: {err}", cell.spec.id));
+        mech.train(&mut env, episodes);
+        let mut env = (cell.scenario.build)(cell.seed);
+        let (summary, _) = mech.run_episode(&mut env);
+        CellOutcome {
+            mechanism: mech.name(),
+            scenario: cell.scenario.id,
+            seed: cell.seed,
+            summary,
+        }
+    })
 }
 
 /// Aggregates replications into per-(mechanism, scenario) leaderboard

@@ -79,7 +79,7 @@ impl MechanismParams {
 ///
 /// `Send` is a supertrait so boxed zoo entries can move across the worker
 /// pool (the registry hands out `Box<dyn Mechanism>` that sweep and
-/// tournament cells run on scope tasks).
+/// tournament cells run as pool region tasks).
 pub trait Mechanism: Send {
     /// Human-readable mechanism name (used by the bench harness). May be
     /// parameterized (e.g. `fmore_k8`), hence an owned `String`.

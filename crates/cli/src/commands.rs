@@ -12,7 +12,7 @@ use chiron_fedsim::metrics::{rounds_to_csv, EpisodeSummary, EventLog};
 use chiron_fedsim::{EdgeLearningEnv, EnvConfig, ResilienceConfig};
 use chiron_serve::{shutdown, Daemon, ServeConfig, ServeError};
 use chiron_telemetry::{RuntimeConfig, TelemetrySession};
-use chiron_tensor::scope;
+use chiron_tensor::pool;
 use serde::{Deserialize, Serialize};
 use std::ops::ControlFlow;
 
@@ -301,23 +301,20 @@ fn apply_env_overrides(env: &mut EdgeLearningEnv, rt: &RuntimeConfig) {
     }
 }
 
-/// Applies `--jobs N` (falling back to `CHIRON_JOBS`): resizes the shared
-/// worker pool that both fine-grained tensor regions and coarse scopes
-/// (nodes, sweep cells, eval seeds) draw from. Absent both, the pool keeps
-/// its `CHIRON_THREADS`/available-parallelism sizing. Results are bitwise
+/// Applies `--jobs N`: resizes the shared worker pool that every region —
+/// tensor kernels and named regions (nodes, sweep cells, eval seeds) —
+/// draws from. Absent the flag, the pool keeps its
+/// `CHIRON_THREADS`/available-parallelism sizing. Results are bitwise
 /// identical for every value — only wall-clock changes.
-fn apply_jobs(args: &ParsedArgs, rt: &RuntimeConfig) -> Result<(), CliError> {
-    let jobs = match args.options.get("jobs") {
-        Some(raw) => Some(raw.parse::<usize>().map_err(|_| {
+fn apply_jobs(args: &ParsedArgs) -> Result<(), CliError> {
+    if let Some(raw) = args.options.get("jobs") {
+        let jobs = raw.parse::<usize>().map_err(|_| {
             CliError::Invalid(format!("invalid --jobs value '{raw}' (expected a count)"))
-        })?),
-        None => rt.jobs,
-    };
-    if let Some(jobs) = jobs {
+        })?;
         if jobs == 0 {
             return Err(CliError::Invalid("--jobs must be at least 1".into()));
         }
-        chiron_tensor::pool::set_threads(jobs);
+        pool::set_threads(jobs);
     }
     Ok(())
 }
@@ -393,7 +390,7 @@ pub fn train(args: &ParsedArgs, rt: &RuntimeConfig) -> Result<(), CliError> {
             "--checkpoint-every must be at least 1".into(),
         ));
     }
-    apply_jobs(args, rt)?;
+    apply_jobs(args)?;
     let telemetry = telemetry_from(args, rt)?;
     shutdown::install();
 
@@ -515,7 +512,7 @@ pub fn serve(args: &ParsedArgs, rt: &RuntimeConfig) -> Result<(), CliError> {
         "telemetry",
         "jobs",
     ])?;
-    apply_jobs(args, rt)?;
+    apply_jobs(args)?;
     let telemetry = telemetry_from(args, rt)?;
 
     let mut cfg = ServeConfig::from_runtime(rt);
@@ -605,7 +602,7 @@ pub fn eval(args: &ParsedArgs, rt: &RuntimeConfig) -> Result<(), CliError> {
             "--trace/--events record a single episode; drop them or use --seeds 1".into(),
         ));
     }
-    apply_jobs(args, rt)?;
+    apply_jobs(args)?;
     let telemetry = telemetry_from(args, rt)?;
 
     let mut env = build_env(kind, nodes, budget, seed, rt)?;
@@ -653,7 +650,7 @@ pub fn eval(args: &ParsedArgs, rt: &RuntimeConfig) -> Result<(), CliError> {
     finish_telemetry(telemetry)
 }
 
-/// Multi-seed evaluation: one coarse task per environment seed, each on a
+/// Multi-seed evaluation: one region task per environment seed, each on a
 /// snapshot-restored replica of `mech`, summaries printed in seed order
 /// plus a mean ± std digest. Bitwise-identical to evaluating the seeds
 /// one after another.
@@ -670,8 +667,8 @@ fn eval_seed_cells(
     let cells: Vec<u64> = (0..seeds as u64)
         .map(|r| base_seed.wrapping_add(r))
         .collect();
-    let results: Vec<Result<EpisodeSummary, CliError>> = scope::scope("cli.eval_seeds", |s| {
-        s.map(&cells, |_, &cell_seed| {
+    let results: Vec<Result<EpisodeSummary, CliError>> =
+        pool::map("cli.eval_seeds", &cells, |_, &cell_seed| {
             let mut env = build_env(kind, nodes, budget, cell_seed, rt)?;
             let mut replica = Chiron::new(&env, ChironConfig::paper(), cell_seed);
             snap.restore(&mut replica).map_err(|e| CliError::Snapshot {
@@ -680,8 +677,7 @@ fn eval_seed_cells(
             })?;
             let (summary, _) = replica.run_episode(&mut env);
             Ok(summary)
-        })
-    });
+        });
     let mut summaries = Vec::with_capacity(seeds);
     for (cell_seed, result) in cells.iter().zip(results) {
         let summary = result?;
@@ -719,7 +715,7 @@ pub fn sweep(args: &ParsedArgs, rt: &RuntimeConfig) -> Result<(), CliError> {
     let budgets = budgets_from(args.str_or("budgets", "60,80,100,120,140"))?;
     let episodes: usize = args.parse_or("episodes", 300)?;
     let seed: u64 = args.parse_or("seed", 42)?;
-    apply_jobs(args, rt)?;
+    apply_jobs(args)?;
 
     let train_budget = budgets[budgets.len() / 2];
     println!(
@@ -760,7 +756,7 @@ pub fn sweep(args: &ParsedArgs, rt: &RuntimeConfig) -> Result<(), CliError> {
 /// or writes a starting template (`--init exp.json`).
 pub fn run(args: &ParsedArgs, rt: &RuntimeConfig) -> Result<(), CliError> {
     args.reject_unknown(&["config", "init", "out", "telemetry", "jobs"])?;
-    apply_jobs(args, rt)?;
+    apply_jobs(args)?;
     if let Some(path) = args.options.get("init") {
         let json = serde_json::to_string_pretty(&ExperimentConfig::template()).map_err(|e| {
             CliError::Invalid(format!("experiment template failed to serialize: {e}"))
@@ -822,7 +818,7 @@ pub fn compare(args: &ParsedArgs, rt: &RuntimeConfig) -> Result<(), CliError> {
     let episodes: usize = args.parse_or("episodes", 300)?;
     let seed: u64 = args.parse_or("seed", 42)?;
     let specs = parse_ids(args.str_or("mechanisms", COMPARE_DEFAULT_MECHANISMS))?;
-    apply_jobs(args, rt)?;
+    apply_jobs(args)?;
 
     println!(
         "comparing mechanisms: dataset {kind}, {nodes} nodes, η = {budget}, {episodes} episodes\n"
@@ -835,15 +831,13 @@ pub fn compare(args: &ParsedArgs, rt: &RuntimeConfig) -> Result<(), CliError> {
         .collect::<Result<_, _>>()?;
 
     // Each mechanism trains and evaluates in its own envs, so the cells
-    // run as one coarse scope; rows join in the requested id order.
-    let results = scope::scope("cli.compare", |s| {
-        s.map_mut(&mut mechanisms, |_, mech| {
-            let mut env = build_env(kind, nodes, budget, seed, rt)?;
-            mech.train(&mut env, episodes);
-            let mut env = build_env(kind, nodes, budget, seed, rt)?;
-            let (summary, _) = mech.run_episode(&mut env);
-            Ok((mech.name(), summary))
-        })
+    // run as one named region; rows join in the requested id order.
+    let results = pool::map_mut("cli.compare", &mut mechanisms, |_, mech| {
+        let mut env = build_env(kind, nodes, budget, seed, rt)?;
+        mech.train(&mut env, episodes);
+        let mut env = build_env(kind, nodes, budget, seed, rt)?;
+        let (summary, _) = mech.run_episode(&mut env);
+        Ok((mech.name(), summary))
     });
     let rows = results.into_iter().collect::<Result<Vec<_>, CliError>>()?;
 
@@ -927,9 +921,7 @@ environment variables (read once at startup; see README.md for the table):
   CHIRON_DEADLINE_SLACK=F evict responders slower than F x the Lemma-1 deadline
   CHIRON_FLEET_SAMPLE=K   price a K-node sample per round (0/unset = full fleet)
   CHIRON_FLEET_CLUSTERS=C two-level aggregation over C edge clusters (default 1)
-  CHIRON_THREADS=N        worker-pool size    CHIRON_SCRATCH_CAP=MiB scratch cap
-  CHIRON_JOBS=N           coarse job count (same as --jobs)
-  CHIRON_COARSE=0|1       disable/enable coarse-grained scheduling (default 1)
+  CHIRON_THREADS=N        worker-pool size (same as --jobs)
   CHIRON_TOURNAMENT_EPISODES / _SEEDS / _MECHS
                           bench_tournament grid: training episodes per cell
                           (40), replications (3), registry ids (all entries)

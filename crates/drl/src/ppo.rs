@@ -285,9 +285,7 @@ impl PpoAgent {
             // Each transition's gradient row is independent, so the loop
             // fans out over fixed transition blocks; per-block loss
             // partials reduce in block order, keeping the reported loss
-            // identical for every thread count. The serial path iterates
-            // the same blocks inline without the partials vector, so a
-            // single-thread update stays allocation-free.
+            // identical for every thread count.
             let transitions = buffer.transitions();
             let surrogate_block = |block: usize, rows: &mut [f32]| {
                 let t0 = block * SURROGATE_BLOCK;
@@ -324,18 +322,10 @@ impl PpoAgent {
                 }
                 loss
             };
-            let loss: f64 = if pool::threads() > 1 {
-                pool::parallel_chunks_map(&mut grad, SURROGATE_BLOCK * action_dim, |b, rows| {
-                    surrogate_block(b, rows)
-                })
-                .iter()
-                .sum()
-            } else {
-                grad.chunks_mut(SURROGATE_BLOCK * action_dim)
-                    .enumerate()
-                    .map(|(block, rows)| surrogate_block(block, rows))
-                    .sum()
-            };
+            let loss: f64 =
+                pool::parallel_chunks_map(&mut grad, SURROGATE_BLOCK * action_dim, surrogate_block)
+                    .iter()
+                    .sum();
             if !loss.is_finite() {
                 poisoned = true;
                 break;

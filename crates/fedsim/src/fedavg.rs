@@ -81,8 +81,8 @@ pub fn aggregate_into(global: &mut [f32], updates: &[(&[f32], f64)]) {
 ///
 /// This is the edge-aggregation topology hierarchical FL deployments use
 /// (nodes report to their edge server, edge servers report to the cloud),
-/// and it parallelizes: the per-cluster partials fan out through the
-/// [`chiron_tensor::scope`] scheduler while the cluster-order join keeps
+/// and it parallelizes: the per-cluster partials fan out through a named
+/// [`chiron_tensor::pool::map`] region while the cluster-order join keeps
 /// the result bitwise-identical at every thread count. `clusters == 1`
 /// delegates to [`aggregate_into`] and is bitwise-identical to it;
 /// `clusters > updates.len()` is clamped.
@@ -117,9 +117,10 @@ pub fn aggregate_clustered_into(global: &mut [f32], updates: &[(&[f32], f64)], c
         })
         .collect();
     // Level 1: per-cluster unnormalized weighted sums, in f64. Each
-    // cluster is one coarse task; results come back in cluster order.
-    let partials: Vec<(Vec<f64>, f64)> = chiron_tensor::scope::scope("fedavg.clusters", |s| {
-        s.map(&ranges, |_, &(start, end)| {
+    // cluster is one task of a named region; results come back in
+    // cluster order.
+    let partials: Vec<(Vec<f64>, f64)> =
+        chiron_tensor::pool::map("fedavg.clusters", &ranges, |_, &(start, end)| {
             let mut acc = vec![0.0f64; len];
             let mut weight = 0.0f64;
             for (params, w) in &updates[start..end] {
@@ -129,8 +130,7 @@ pub fn aggregate_clustered_into(global: &mut [f32], updates: &[(&[f32], f64)], c
                 }
             }
             (acc, weight)
-        })
-    });
+        });
     // Level 2: global combine, sequential over clusters (the cluster
     // count is small and fixed, so this join order — not the thread
     // schedule — defines the floating-point result).

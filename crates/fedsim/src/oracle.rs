@@ -14,7 +14,7 @@
 
 use chiron_data::{partition, DatasetSpec, LearningCurve, SyntheticDataset};
 use chiron_nn::{Optimizer, Sequential, Sgd, SoftmaxCrossEntropy};
-use chiron_tensor::{scope, RngState, TensorRng};
+use chiron_tensor::{pool, RngState, TensorRng};
 use serde::{Deserialize, Serialize};
 
 /// What the oracle gets to see about a completed round.
@@ -418,7 +418,7 @@ impl TrainingOracle {
     /// One participant's local training: `sigma` epochs of minibatch SGD
     /// on `shard`, starting from the parameters already loaded in `model`.
     ///
-    /// Free of `&self` so each coarse task can own a model clone while
+    /// Free of `&self` so each region task can own a model clone while
     /// borrowing its shard in place (the old method cloned the shard every
     /// round to appease the borrow checker). The RNG stream is keyed by
     /// `(node, round, epoch)` only, so the schedule is independent of
@@ -485,9 +485,9 @@ impl AccuracyOracle for TrainingOracle {
         }
         let (shards, participants, round) = (&self.shards, ctx.participants, ctx.round);
         let (sigma, batch_size, learning_rate) = (self.sigma, self.batch_size, self.learning_rate);
-        let pool = &mut self.replica_pool[..n];
-        let updated: Vec<Vec<f32>> = scope::scope("oracle.local_training", |s| {
-            s.map_mut(pool, |i, model| {
+        let replicas = &mut self.replica_pool[..n];
+        let updated: Vec<Vec<f32>> =
+            pool::map_mut("oracle.local_training", replicas, |i, model| {
                 Self::train_shard(
                     model,
                     &shards[participants[i]],
@@ -497,8 +497,7 @@ impl AccuracyOracle for TrainingOracle {
                     batch_size,
                     learning_rate,
                 )
-            })
-        });
+            });
         let refs: Vec<(&[f32], f64)> = updated
             .iter()
             .zip(ctx.weights)

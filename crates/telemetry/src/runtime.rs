@@ -9,9 +9,6 @@
 //! | Variable | Type | Consumer | Meaning |
 //! |---|---|---|---|
 //! | `CHIRON_THREADS` | usize ≥ 1 | tensor pool | worker-pool thread count (default: available parallelism) |
-//! | `CHIRON_JOBS` | usize ≥ 1 | CLI | coarse-grained job count; resizes the pool like `--jobs` |
-//! | `CHIRON_COARSE` | bool (`0`/`1`) | tensor scope | enable coarse-grained task scheduling (default 1) |
-//! | `CHIRON_SCRATCH_CAP` | usize (MiB) | tensor scratch | per-thread arena retention cap (default 64) |
 //! | `CHIRON_SIMD` | bool (`0`/`1`) | tensor kernel | SIMD dispatch tier (default 1 = best detected; `0` forces the pinned scalar tier) |
 //! | `CHIRON_QUORUM` | usize | fedsim | minimum participants per round (default 0 = off) |
 //! | `CHIRON_DEADLINE_SLACK` | f64 ≥ 1 | fedsim | Lemma-1 deadline multiplier (default off) |
@@ -65,13 +62,6 @@ fn parse_bool_var(name: &str) -> Option<bool> {
 pub struct RuntimeConfig {
     /// `CHIRON_THREADS`: requested worker-pool size (pool clamps to ≥ 1).
     pub threads: Option<usize>,
-    /// `CHIRON_JOBS`: coarse-grained job count (CLI `--jobs` fallback).
-    pub jobs: Option<usize>,
-    /// `CHIRON_COARSE`: whether the nested-scope scheduler may fan out
-    /// coarse regions (`0`/`false` forces the serial fallback).
-    pub coarse: Option<bool>,
-    /// `CHIRON_SCRATCH_CAP`: per-thread scratch retention cap in MiB.
-    pub scratch_cap_mib: Option<usize>,
     /// `CHIRON_SIMD`: whether the matmul kernel may use the detected SIMD
     /// dispatch tier (`0`/`false` forces the pinned scalar tier; every tier
     /// is bitwise-identical, so this is a verification/benchmark knob).
@@ -138,9 +128,6 @@ impl RuntimeConfig {
     pub fn from_env() -> Self {
         Self {
             threads: parse_var("CHIRON_THREADS"),
-            jobs: parse_var("CHIRON_JOBS"),
-            coarse: parse_bool_var("CHIRON_COARSE"),
-            scratch_cap_mib: parse_var("CHIRON_SCRATCH_CAP"),
             simd: parse_bool_var("CHIRON_SIMD"),
             quorum: parse_var("CHIRON_QUORUM"),
             deadline_slack: parse_var("CHIRON_DEADLINE_SLACK"),
@@ -183,7 +170,7 @@ impl RuntimeConfig {
     /// Process-wide snapshot, read from the environment on first use.
     ///
     /// For singletons whose configuration is fixed for the process lifetime
-    /// (worker pool size, scratch cap). Code that must observe later
+    /// (worker pool size, SIMD tier). Code that must observe later
     /// `set_var` calls (tests) should use [`RuntimeConfig::from_env`].
     #[must_use]
     pub fn global() -> &'static RuntimeConfig {
@@ -200,12 +187,12 @@ mod tests {
     fn malformed_values_parse_to_none() {
         // Use a throwaway variable namespace by setting and clearing within
         // the test; RuntimeConfig::from_env reads live state.
-        std::env::set_var("CHIRON_SCRATCH_CAP", "not-a-number");
+        std::env::set_var("CHIRON_SEEDS", "not-a-number");
         std::env::set_var("CHIRON_QUORUM", " 3 ");
         let cfg = RuntimeConfig::from_env();
-        assert_eq!(cfg.scratch_cap_mib, None);
+        assert_eq!(cfg.seeds, None);
         assert_eq!(cfg.quorum, Some(3));
-        std::env::remove_var("CHIRON_SCRATCH_CAP");
+        std::env::remove_var("CHIRON_SEEDS");
         std::env::remove_var("CHIRON_QUORUM");
     }
 }

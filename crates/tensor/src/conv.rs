@@ -373,6 +373,7 @@ mod tests {
         let mut rng = TensorRng::seed_from(21);
         let x = rng.init(&[10, 3, 28, 28], Init::Normal(1.0));
         let geo = Conv2dGeometry::new(28, 28, 5, 5, 1, 1);
+        let _sweep = pool::tests::sweep();
         let run = |threads: usize| {
             pool::set_threads(threads);
             let cols = im2col(&x, 3, &geo);
@@ -381,7 +382,6 @@ mod tests {
         };
         let (sc, sb) = run(1);
         let (pc, pb) = run(4);
-        pool::set_threads(1);
         assert_eq!(sc.as_slice(), pc.as_slice(), "im2col");
         assert_eq!(sb.as_slice(), pb.as_slice(), "col2im");
     }

@@ -33,7 +33,6 @@ mod init;
 pub mod kernel;
 mod ops;
 pub mod pool;
-pub mod scope;
 pub mod scratch;
 mod shape;
 mod tensor;

@@ -420,13 +420,13 @@ mod tests {
         let a = rng.init(&[96, 80], Init::Normal(1.0));
         let b = rng.init(&[80, 64], Init::Normal(1.0));
         let bt = b.transpose();
+        let _sweep = pool::tests::sweep();
         let run = |threads: usize| {
             pool::set_threads(threads);
             (a.matmul(&b), a.transpose().matmul_tn(&b), a.matmul_nt(&bt))
         };
         let (s1, s2, s3) = run(1);
         let (p1, p2, p3) = run(4);
-        pool::set_threads(1);
         assert_eq!(s1.as_slice(), p1.as_slice(), "matmul");
         assert_eq!(s2.as_slice(), p2.as_slice(), "matmul_tn");
         assert_eq!(s3.as_slice(), p3.as_slice(), "matmul_nt");

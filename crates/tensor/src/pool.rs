@@ -28,9 +28,23 @@
 //! determinism tests use to compare serial and parallel execution within
 //! one process.
 //!
-//! Nested parallelism is suppressed: a task already running on a pool
-//! worker executes inner `parallel_for` calls inline. This cannot change
-//! results (see above) and prevents pool-wide deadlock.
+//! # Regions and the inline rule
+//!
+//! [`parallel_for`] and the chunk helpers serve fine-grained regions
+//! (matmul tiles, im2col rows, batch lanes). [`map`], [`map_mut`] and
+//! [`run`] serve named outer regions — federated nodes training local
+//! models, sweep cells, evaluation seeds: one block per task, results in
+//! task order, a telemetry span named after the region, and the
+//! `tensor.scope.{regions,tasks,inline_regions}` counters.
+//!
+//! Every region follows one rule: it runs inline on the calling thread
+//! when the pool is serial, when it has a single block, or when the
+//! calling thread is already *inside a region* — a pool worker (always)
+//! or a caller while it drains its own region's blocks. So an outer region
+//! claims the threads, and every region nested in one of its blocks runs
+//! inline on whichever thread drew that block. Nothing ever waits on a
+//! thread that is busy with the region it waits in, and inline execution
+//! cannot change results (see above).
 //!
 //! # Examples
 //!
@@ -98,14 +112,20 @@ struct Job {
     panicked: Arc<AtomicBool>,
 }
 
-fn drain_dispenser(job: &Job) {
-    loop {
+/// Runs blocks from the dispenser until none remain, with the thread
+/// marked inside a region so that nested regions run inline. The previous
+/// mark is restored afterwards, also when a block panics.
+fn drain_dispenser(job: &Job) -> std::thread::Result<()> {
+    let outer = INSIDE_REGION.replace(true);
+    let outcome = catch_unwind(AssertUnwindSafe(|| loop {
         let b = job.next.fetch_add(1, Ordering::Relaxed);
         if b >= job.blocks {
             break;
         }
         (job.task)(b);
-    }
+    }));
+    INSIDE_REGION.set(outer);
+    outcome
 }
 
 struct Pool {
@@ -116,9 +136,10 @@ struct Pool {
 }
 
 thread_local! {
-    /// Set on pool workers for their whole lifetime: inner parallel
-    /// regions run inline instead of re-entering the pool.
-    static ON_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    /// Set while the thread runs a region's blocks: for a pool worker's
+    /// whole life, and for a caller while it drains its own region. Any
+    /// region opened with it set runs inline.
+    static INSIDE_REGION: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 fn default_threads() -> usize {
@@ -163,10 +184,9 @@ impl Pool {
             std::thread::Builder::new()
                 .name(format!("chiron-pool-{spawned}"))
                 .spawn(move || {
-                    ON_WORKER.with(|f| f.set(true));
+                    INSIDE_REGION.set(true);
                     while let Ok(job) = rx.recv() {
-                        let outcome = catch_unwind(AssertUnwindSafe(|| drain_dispenser(&job)));
-                        if outcome.is_err() {
+                        if drain_dispenser(&job).is_err() {
                             job.panicked.store(true, Ordering::SeqCst);
                         }
                         job.latch.count_down();
@@ -195,10 +215,18 @@ pub fn set_threads(n: usize) {
     pool.ensure_workers(n.saturating_sub(1));
 }
 
+/// Helper threads a region of `blocks` blocks fans out to; 0 means it
+/// runs inline (serial pool, a single block, or already inside a region).
+fn helpers_for(blocks: usize) -> usize {
+    if INSIDE_REGION.get() {
+        return 0;
+    }
+    threads().min(blocks).saturating_sub(1)
+}
+
 /// Runs `task(block)` for every `block` in `0..blocks`, fanning out across
-/// the pool. Returns after every block has completed. Runs inline when the
-/// pool is serial, the region is trivial, or the caller is itself a pool
-/// worker (nested region).
+/// the pool. Returns after every block has completed. Runs inline under
+/// the module's inline rule.
 ///
 /// Determinism contract: `task` must write only block-`b`-owned data when
 /// invoked with `b`. Under that contract the results are bitwise identical
@@ -219,19 +247,15 @@ pub fn parallel_for<F: Fn(usize) + Sync>(blocks: usize, task: F) {
         chiron_telemetry::Counter::new("tensor.pool.blocks");
     static POOL_INLINE: chiron_telemetry::Counter =
         chiron_telemetry::Counter::new("tensor.pool.inline_regions");
-    let pool = Pool::global();
-    let helpers = pool
-        .active
-        .load(Ordering::Relaxed)
-        .min(blocks)
-        .saturating_sub(1);
-    if helpers == 0 || ON_WORKER.with(|f| f.get()) {
+    let helpers = helpers_for(blocks);
+    if helpers == 0 {
         POOL_INLINE.add(1);
         for b in 0..blocks {
             task(b);
         }
         return;
     }
+    let pool = Pool::global();
     POOL_REGIONS.add(1);
     POOL_BLOCKS.add(blocks as u64);
     pool.ensure_workers(helpers);
@@ -256,7 +280,7 @@ pub fn parallel_for<F: Fn(usize) + Sync>(blocks: usize, task: F) {
         );
     }
     // The calling thread participates instead of blocking idle.
-    let own = catch_unwind(AssertUnwindSafe(|| drain_dispenser(&job)));
+    let own = drain_dispenser(&job);
     job.latch.wait();
     if let Err(payload) = own {
         resume_unwind(payload);
@@ -285,7 +309,9 @@ impl<T> SendPtr<T> {
 /// Splits `out` into consecutive chunks of `chunk_len` elements (the last
 /// may be shorter), runs `f(block_index, chunk)` for each in parallel, and
 /// returns the per-block results **in block order** — the caller reduces
-/// them sequentially, which keeps reductions deterministic.
+/// them sequentially, which keeps reductions deterministic. The inline
+/// path is a plain loop over the chunks, so it allocates nothing beyond the
+/// returned vector.
 ///
 /// # Panics
 ///
@@ -299,6 +325,13 @@ where
     assert!(chunk_len > 0, "chunk_len must be positive");
     let len = out.len();
     let blocks = len.div_ceil(chunk_len);
+    if runs_inline(blocks) {
+        return out
+            .chunks_mut(chunk_len)
+            .enumerate()
+            .map(|(b, chunk)| f(b, chunk))
+            .collect();
+    }
     let mut results: Vec<Option<R>> = (0..blocks).map(|_| None).collect();
     let out_ptr = SendPtr(out.as_mut_ptr());
     let res_ptr = SendPtr(results.as_mut_ptr());
@@ -319,72 +352,128 @@ where
         .collect()
 }
 
-/// True when a region of `blocks` blocks would run inline (serial pool,
-/// trivial region, or nested call from a worker) — the cases where the
+/// True when a region of `blocks` blocks runs inline — the cases where the
 /// fan-out bookkeeping, and its allocations, can be skipped entirely.
 pub(crate) fn runs_inline(blocks: usize) -> bool {
-    threads().min(blocks) <= 1 || ON_WORKER.with(|f| f.get())
+    helpers_for(blocks) == 0
 }
 
-/// [`parallel_chunks_map`] without per-block results. The serial path is
-/// allocation-free (no per-block result vector), which keeps single-thread
-/// training steps off the heap entirely.
+/// [`parallel_chunks_map`] without per-block results; the inline path is
+/// allocation-free, which keeps single-thread training steps off the heap.
 pub fn parallel_chunks_mut<T, F>(out: &mut [T], chunk_len: usize, f: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    assert!(chunk_len > 0, "chunk_len must be positive");
-    if runs_inline(out.len().div_ceil(chunk_len)) {
-        for (b, chunk) in out.chunks_mut(chunk_len).enumerate() {
-            f(b, chunk);
-        }
-        return;
-    }
-    let _ = parallel_chunks_map(out, chunk_len, |b, chunk| f(b, chunk));
+    let _: Vec<()> = parallel_chunks_map(out, chunk_len, f);
 }
 
-/// Partitions `0..items` into fixed blocks of `block_len` indices, computes
-/// `f(range)` per block in parallel, and sums the partial results **in
-/// block-index order**. The sum is deterministic for every thread count
-/// (but differs from a single left-to-right sum once `items > block_len`;
-/// callers that need the exact serial rounding should sum serially).
+static SCOPE_REGIONS: chiron_telemetry::Counter =
+    chiron_telemetry::Counter::new("tensor.scope.regions");
+static SCOPE_TASKS: chiron_telemetry::Counter =
+    chiron_telemetry::Counter::new("tensor.scope.tasks");
+static SCOPE_INLINE: chiron_telemetry::Counter =
+    chiron_telemetry::Counter::new("tensor.scope.inline_regions");
+
+/// Opens named region `name` of `tasks` tasks: counts it and returns its
+/// telemetry span, which closes when the guard drops.
+fn named_region(name: &'static str, tasks: usize) -> chiron_telemetry::SpanGuard {
+    SCOPE_REGIONS.add(1);
+    SCOPE_TASKS.add(tasks as u64);
+    if runs_inline(tasks) {
+        SCOPE_INLINE.add(1);
+    }
+    chiron_telemetry::span(name)
+}
+
+/// Named region: runs `f(i, &items[i])` for every item, one block per item,
+/// and returns the results in item order — bitwise identical to the serial
+/// loop at any thread count.
+///
+/// ```
+/// let squares = chiron_tensor::pool::map("example.squares", &[1usize, 2, 3, 4], |_, &x| x * x);
+/// assert_eq!(squares, vec![1, 4, 9, 16]);
+/// ```
 ///
 /// # Panics
 ///
-/// Panics if `block_len == 0`, or propagates a panic from `f`.
-pub fn parallel_block_sum<F>(items: usize, block_len: usize, f: F) -> f64
+/// Propagates a panic from `f`.
+pub fn map<T, R, F>(name: &'static str, items: &[T], f: F) -> Vec<R>
 where
-    F: Fn(std::ops::Range<usize>) -> f64 + Sync,
+    T: Sync,
+    R: Send,
+    F: Fn(usize, &T) -> R + Sync,
 {
-    assert!(block_len > 0, "block_len must be positive");
-    let blocks = items.div_ceil(block_len);
-    if runs_inline(blocks) {
-        // Allocation-free serial path: accumulate partials directly in
-        // block-index order — the same reduction order as the parallel path.
-        let mut total = 0.0f64;
-        for b in 0..blocks {
-            let start = b * block_len;
-            total += f(start..(start + block_len).min(items));
-        }
-        return total;
-    }
-    let mut partials = vec![0.0f64; blocks];
-    let items_end = items;
-    parallel_chunks_mut(&mut partials, 1, |b, slot| {
-        let start = b * block_len;
-        let end = (start + block_len).min(items_end);
-        slot[0] = f(start..end);
-    });
-    partials.iter().sum()
+    let _span = named_region(name, items.len());
+    // Zero-sized units: one block per item, no allocation.
+    let mut units = vec![(); items.len()];
+    parallel_chunks_map(&mut units, 1, |i, _| f(i, &items[i]))
+}
+
+/// Named region: runs `f(i, &mut items[i])` for every item and returns the
+/// results in item order. Each task owns its element exclusively, so this
+/// is the entry point for `Send`-but-not-`Sync` items such as model clones.
+///
+/// # Panics
+///
+/// Propagates a panic from `f`.
+pub fn map_mut<T, R, F>(name: &'static str, items: &mut [T], f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, &mut T) -> R + Sync,
+{
+    let _span = named_region(name, items.len());
+    parallel_chunks_map(items, 1, |i, item| f(i, &mut item[0]))
+}
+
+/// Named region over heterogeneous one-shot tasks (e.g. "train Chiron" /
+/// "train DRL" / "train Greedy"); returns their results in task order.
+///
+/// # Panics
+///
+/// Propagates a panic from any task.
+pub fn run<'env, R: Send>(
+    name: &'static str,
+    tasks: Vec<Box<dyn FnOnce() -> R + Send + 'env>>,
+) -> Vec<R> {
+    let _span = named_region(name, tasks.len());
+    let mut slots: Vec<Option<Box<dyn FnOnce() -> R + Send + 'env>>> =
+        tasks.into_iter().map(Some).collect();
+    parallel_chunks_map(&mut slots, 1, |_, slot| {
+        (slot[0].take().expect("each task slot is consumed once"))()
+    })
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Exclusive hold on the pool size for one test's whole sweep: tests
+    /// run concurrently and [`set_threads`] is process-global. Dropping it
+    /// restores the serial pool.
+    pub(crate) struct Sweep {
+        _lock: std::sync::MutexGuard<'static, ()>,
+    }
+
+    pub(crate) fn sweep() -> Sweep {
+        static LOCK: Mutex<()> = Mutex::new(());
+        Sweep {
+            _lock: LOCK
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner),
+        }
+    }
+
+    impl Drop for Sweep {
+        fn drop(&mut self) {
+            set_threads(1);
+        }
+    }
 
     #[test]
     fn parallel_for_covers_every_block_once() {
+        let _sweep = sweep();
         set_threads(4);
         let hits: Vec<AtomicUsize> = (0..97).map(|_| AtomicUsize::new(0)).collect();
         parallel_for(97, |b| {
@@ -395,6 +484,7 @@ mod tests {
 
     #[test]
     fn chunks_are_disjoint_and_ordered() {
+        let _sweep = sweep();
         set_threads(4);
         let mut out = vec![0u32; 1003];
         parallel_chunks_mut(&mut out, 100, |b, chunk| {
@@ -409,38 +499,34 @@ mod tests {
 
     #[test]
     fn results_identical_across_thread_counts() {
-        let run = |t: usize| -> Vec<f32> {
+        let _sweep = sweep();
+        let run = |t: usize| -> (Vec<f32>, Vec<f64>) {
             set_threads(t);
             let mut out = vec![0.0f32; 513];
-            parallel_chunks_mut(&mut out, 64, |b, chunk| {
+            let partials = parallel_chunks_map(&mut out, 64, |b, chunk| {
                 for (i, v) in chunk.iter_mut().enumerate() {
                     // A rounding-sensitive computation.
                     *v = ((b * 64 + i) as f32 * 0.1).sin() / 3.0;
                 }
+                chunk.iter().map(|&v| f64::from(v)).sum::<f64>()
             });
-            out
+            (out, partials)
         };
         let serial = run(1);
-        let parallel = run(4);
-        set_threads(1);
-        assert_eq!(serial, parallel, "bitwise identity across thread counts");
-    }
-
-    #[test]
-    fn block_sum_reduces_in_index_order() {
-        set_threads(4);
-        let s = parallel_block_sum(1000, 37, |r| r.map(|i| i as f64).sum());
-        set_threads(1);
-        assert_eq!(s, (0..1000).map(|i| i as f64).sum::<f64>());
+        for t in [4, 8] {
+            assert_eq!(serial, run(t), "bitwise identity at {t} threads");
+        }
     }
 
     #[test]
     fn nested_regions_run_inline() {
+        let _sweep = sweep();
         set_threads(4);
         let mut out = vec![0.0f32; 64];
         parallel_chunks_mut(&mut out, 8, |b, chunk| {
-            // Inner region from (possibly) a worker thread must not
-            // deadlock and must behave identically.
+            // Every block is inside the outer region, on a worker or on
+            // the caller, so the inner region runs inline.
+            assert!(runs_inline(4));
             let mut inner = vec![0.0f32; 8];
             parallel_chunks_mut(&mut inner, 2, |ib, ic| {
                 for (i, v) in ic.iter_mut().enumerate() {
@@ -452,11 +538,52 @@ mod tests {
             }
         });
         assert_eq!(out[9], 101.0);
-        set_threads(1);
+        // The caller left the region: its next region fans out again.
+        assert!(!runs_inline(4));
+    }
+
+    #[test]
+    fn named_regions_match_serial_loops() {
+        let _sweep = sweep();
+        for t in [1, 4] {
+            set_threads(t);
+            let items: Vec<u64> = (0..37).collect();
+            let got = map("test.map", &items, |i, &x| x * 3 + i as u64);
+            let want: Vec<u64> = items.iter().map(|&x| x * 4).collect();
+            assert_eq!(got, want, "map at {t} threads");
+
+            let mut owned: Vec<Vec<u64>> = (0..9).map(|i| vec![i]).collect();
+            let sums = map_mut("test.map_mut", &mut owned, |i, v| {
+                v.push(i as u64 * 10);
+                v.iter().sum::<u64>()
+            });
+            assert_eq!(sums, (0..9).map(|i| i * 11).collect::<Vec<u64>>());
+
+            let mut out = [0usize; 3];
+            let (a, rest) = out.split_at_mut(1);
+            let (b, c) = rest.split_at_mut(1);
+            let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = vec![
+                Box::new(|| {
+                    a[0] = 10;
+                    1
+                }),
+                Box::new(|| {
+                    b[0] = 20;
+                    2
+                }),
+                Box::new(|| {
+                    c[0] = 30;
+                    3
+                }),
+            ];
+            assert_eq!(run("test.run", tasks), vec![1, 2, 3]);
+            assert_eq!(out, [10, 20, 30]);
+        }
     }
 
     #[test]
     fn panics_propagate_to_caller() {
+        let _sweep = sweep();
         set_threads(2);
         let outcome = std::panic::catch_unwind(|| {
             parallel_for(8, |b| {
@@ -464,11 +591,12 @@ mod tests {
             });
         });
         assert!(outcome.is_err());
-        // The pool must still be usable afterwards.
+        // The caller left the region despite the panic, and the pool is
+        // still usable.
+        assert!(!runs_inline(4));
         let mut out = vec![0.0f32; 16];
         parallel_chunks_mut(&mut out, 4, |b, c| c.iter_mut().for_each(|v| *v = b as f32));
         assert_eq!(out[15], 3.0);
-        set_threads(1);
     }
 
     #[test]

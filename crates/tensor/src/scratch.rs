@@ -20,9 +20,8 @@
 //!   (min [`MIN_BUCKET`]); recycled buffers file under the largest power of
 //!   two their capacity covers. A popped buffer therefore always has enough
 //!   capacity for every request mapped to its bucket.
-//! * **Bounded retention.** Each thread keeps at most `CHIRON_SCRATCH_CAP`
-//!   MiB (default 64) of idle buffers; beyond the cap, recycled buffers are
-//!   freed instead of pooled. The cap bounds memory, never correctness.
+//! * **Bounded retention.** Each thread keeps at most 64 MiB of idle
+//!   buffers; beyond the cap, recycled buffers are freed instead of pooled. The cap bounds memory, never correctness.
 //! * **Observability.** [`misses`] counts real heap allocations across all
 //!   threads; a steady-state training step leaves it unchanged, which the
 //!   zero-allocation tests assert directly.
@@ -50,7 +49,6 @@
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 /// Smallest pooled capacity; requests below it still round up so even
 /// scalar tensors recycle.
@@ -62,18 +60,8 @@ const BUCKETS: usize = 28;
 /// Cross-thread count of real heap allocations taken through the arena.
 static MISSES: AtomicU64 = AtomicU64::new(0);
 
-/// Per-thread retention cap in `f32` elements, from `CHIRON_SCRATCH_CAP`
-/// (MiB, default 64) via [`RuntimeConfig`](chiron_telemetry::RuntimeConfig).
-/// Read once per process.
-fn cap_elems() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        let mib = chiron_telemetry::RuntimeConfig::global()
-            .scratch_cap_mib
-            .unwrap_or(64);
-        mib.saturating_mul(1 << 20) / std::mem::size_of::<f32>()
-    })
-}
+/// Per-thread retention cap in `f32` elements: 64 MiB.
+const CAP_ELEMS: usize = (64 << 20) / std::mem::size_of::<f32>();
 
 struct Pools {
     buckets: Vec<Vec<Vec<f32>>>,
@@ -169,7 +157,7 @@ pub fn recycle(v: Vec<f32>) {
     let rejected = POOLS
         .try_with(|p| {
             let mut p = p.borrow_mut();
-            if p.retained + cap <= cap_elems() {
+            if p.retained + cap <= CAP_ELEMS {
                 p.retained += cap;
                 p.buckets[idx].push(v);
                 None
@@ -310,6 +298,7 @@ mod tests {
 
     #[test]
     fn concurrent_workers_never_share_a_live_buffer() {
+        let _sweep = crate::pool::tests::sweep();
         crate::pool::set_threads(4);
         crate::pool::parallel_for(64, |block| {
             let mut mine = ScratchBuf::zeroed(512);
@@ -327,7 +316,6 @@ mod tests {
                 "live scratch buffer was clobbered by a concurrent worker"
             );
         });
-        crate::pool::set_threads(1);
     }
 
     #[test]

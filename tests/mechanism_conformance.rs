@@ -4,6 +4,8 @@
 //! thread count, and the exactly-once `observe` protocol. A new zoo member
 //! is covered the moment it is registered; no test edits required.
 
+mod common;
+
 use chiron_repro::chiron_tensor::pool;
 use chiron_repro::prelude::*;
 
@@ -135,6 +137,7 @@ fn evaluation_bits_are_identical_across_thread_counts() {
     let seed = 19;
     let e0 = env(budget, seed);
     let mut per_thread_bits = Vec::new();
+    let _sweep = common::pool_sweep();
     for threads in [1usize, 4] {
         pool::set_threads(threads);
         let bits: Vec<(String, usize, u64, u64)> = registry()

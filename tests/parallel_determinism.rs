@@ -1,12 +1,15 @@
 //! Cross-thread-count determinism: every parallel hot path must produce
-//! bitwise-identical results whether the pool runs 1 thread or 4.
+//! bitwise-identical results whether the pool runs 1 thread, 4 or 8.
 //!
 //! The parallel backend guarantees this by construction — fixed row-block
 //! partitions and index-ordered reductions, never thread-count-dependent
 //! splits or atomic accumulation — and these tests are the workspace-level
 //! proof. All tests drive the thread count through
 //! [`chiron_tensor::pool::set_threads`] (not the `CHIRON_THREADS` env var,
-//! which is read once per process and would race across tests).
+//! which is read once per process), each holding the binary's pool-size
+//! lock for its whole sweep.
+
+mod common;
 
 use chiron_bench::run_budget_panel;
 use chiron_data::{DatasetKind, DatasetSpec};
@@ -15,15 +18,21 @@ use chiron_fedsim::faults::FaultProcessConfig;
 use chiron_fedsim::oracle::{AccuracyOracle, RoundContext, TrainingOracle};
 use chiron_fedsim::{ChannelVariation, EdgeLearningEnv, EnvConfig};
 use chiron_nn::{models, Linear, Relu, Sequential, SoftmaxCrossEntropy};
-use chiron_tensor::{im2col, pool, scope, Conv2dGeometry, Init, TensorRng};
+use chiron_tensor::{im2col, pool, Conv2dGeometry, Init, TensorRng};
 
-/// Runs `f` at 1 and at 4 threads, restoring the serial default after.
-fn at_thread_counts<T>(f: impl Fn() -> T) -> (T, T) {
+/// Runs `f` at 1 thread and then at 4 and at 8, holding the pool size for
+/// the whole sweep; returns the serial result and each `(threads, result)`.
+fn at_thread_counts<T>(f: impl Fn() -> T) -> (T, Vec<(usize, T)>) {
+    let _sweep = common::pool_sweep();
     pool::set_threads(1);
     let serial = f();
-    pool::set_threads(4);
-    let parallel = f();
-    pool::set_threads(1);
+    let parallel = [4, 8]
+        .into_iter()
+        .map(|t| {
+            pool::set_threads(t);
+            (t, f())
+        })
+        .collect();
     (serial, parallel)
 }
 
@@ -32,16 +41,18 @@ fn matmul_outputs_are_bitwise_identical() {
     let mut rng = TensorRng::seed_from(11);
     let a = rng.init(&[128, 96], Init::Normal(1.0));
     let b = rng.init(&[96, 72], Init::Normal(1.0));
-    let (s, p) = at_thread_counts(|| {
+    let (s, runs) = at_thread_counts(|| {
         (
             a.matmul(&b),
             a.transpose().matmul_tn(&b),
             a.matmul_nt(&b.transpose()),
         )
     });
-    assert_eq!(s.0.as_slice(), p.0.as_slice(), "matmul");
-    assert_eq!(s.1.as_slice(), p.1.as_slice(), "matmul_tn");
-    assert_eq!(s.2.as_slice(), p.2.as_slice(), "matmul_nt");
+    for (t, p) in runs {
+        assert_eq!(s.0.as_slice(), p.0.as_slice(), "matmul at {t} threads");
+        assert_eq!(s.1.as_slice(), p.1.as_slice(), "matmul_tn at {t} threads");
+        assert_eq!(s.2.as_slice(), p.2.as_slice(), "matmul_nt at {t} threads");
+    }
 }
 
 #[test]
@@ -49,13 +60,15 @@ fn conv_layout_transforms_are_bitwise_identical() {
     let mut rng = TensorRng::seed_from(12);
     let x = rng.init(&[10, 3, 28, 28], Init::Normal(1.0));
     let geo = Conv2dGeometry::new(28, 28, 5, 5, 1, 0);
-    let (s, p) = at_thread_counts(|| {
+    let (s, runs) = at_thread_counts(|| {
         let cols = im2col(&x, 3, &geo);
         let back = chiron_tensor::col2im(&cols, 10, 3, &geo);
         (cols, back)
     });
-    assert_eq!(s.0.as_slice(), p.0.as_slice(), "im2col");
-    assert_eq!(s.1.as_slice(), p.1.as_slice(), "col2im");
+    for (t, p) in runs {
+        assert_eq!(s.0.as_slice(), p.0.as_slice(), "im2col at {t} threads");
+        assert_eq!(s.1.as_slice(), p.1.as_slice(), "col2im at {t} threads");
+    }
 }
 
 /// One scripted PPO rollout + update, returning the reported losses and a
@@ -82,10 +95,12 @@ fn ppo_round_trip() -> (f64, f64, Vec<f64>) {
 
 #[test]
 fn ppo_update_losses_and_actions_are_identical() {
-    let (s, p) = at_thread_counts(ppo_round_trip);
-    assert_eq!(s.0, p.0, "actor loss");
-    assert_eq!(s.1, p.1, "critic loss");
-    assert_eq!(s.2, p.2, "deterministic action after update");
+    let (s, runs) = at_thread_counts(ppo_round_trip);
+    for (t, p) in runs {
+        assert_eq!(s.0, p.0, "actor loss at {t} threads");
+        assert_eq!(s.1, p.1, "critic loss at {t} threads");
+        assert_eq!(s.2, p.2, "deterministic action after update at {t} threads");
+    }
 }
 
 /// Two SGD steps on the paper's MNIST CNN, returning the losses and the
@@ -112,15 +127,17 @@ fn cnn_train_steps() -> (Vec<f32>, Vec<f32>) {
 
 #[test]
 fn cnn_train_steps_are_bitwise_identical() {
-    let (s, p) = at_thread_counts(cnn_train_steps);
-    assert_eq!(s.0, p.0, "losses");
-    assert_eq!(s.1, p.1, "parameters after two steps");
+    let (s, runs) = at_thread_counts(cnn_train_steps);
+    for (t, p) in runs {
+        assert_eq!(s.0, p.0, "losses at {t} threads");
+        assert_eq!(s.1, p.1, "parameters after two steps at {t} threads");
+    }
 }
 
 /// Three federated rounds of real SGD on an 8-node fleet, returning the
-/// global weights and accuracy as raw bits. The coarse scheduler fans the
-/// per-node local trainings and the 64-sample evaluation chunks out across
-/// the pool, so this exercises the nested-scope path end to end.
+/// global weights and accuracy as raw bits. A named region fans the
+/// per-node local trainings out across the pool, and the kernels inside
+/// each node run inline, so this exercises nested regions end to end.
 fn federated_rounds() -> (Vec<u32>, u64) {
     let spec = DatasetSpec::tiny();
     let mut rng = TensorRng::seed_from(5);
@@ -149,6 +166,7 @@ fn federated_rounds() -> (Vec<u32>, u64) {
 
 #[test]
 fn federated_training_is_bitwise_identical_across_thread_counts() {
+    let _sweep = common::pool_sweep();
     pool::set_threads(1);
     let (base_params, base_acc) = federated_rounds();
     for threads in [4usize, 8] {
@@ -157,7 +175,6 @@ fn federated_training_is_bitwise_identical_across_thread_counts() {
         assert_eq!(base_params, params, "global weights at {threads} threads");
         assert_eq!(base_acc, acc, "accuracy at {threads} threads");
     }
-    pool::set_threads(1);
 }
 
 /// A 10-round sampled-participation episode on a 10k-node fleet —
@@ -197,6 +214,7 @@ fn sampled_fleet_episode() -> Vec<(u64, u64, Vec<usize>, usize)> {
 
 #[test]
 fn sampled_fleet_episode_is_bitwise_identical_across_thread_counts() {
+    let _sweep = common::pool_sweep();
     pool::set_threads(1);
     let base = sampled_fleet_episode();
     for threads in [4usize, 8] {
@@ -204,7 +222,6 @@ fn sampled_fleet_episode_is_bitwise_identical_across_thread_counts() {
         let run = sampled_fleet_episode();
         assert_eq!(base, run, "sampled episode at {threads} threads");
     }
-    pool::set_threads(1);
 }
 
 /// Three federated rounds through the two-level (clustered) aggregation
@@ -240,6 +257,7 @@ fn clustered_federated_rounds() -> (Vec<u32>, u64) {
 
 #[test]
 fn clustered_aggregation_is_bitwise_identical_across_thread_counts() {
+    let _sweep = common::pool_sweep();
     pool::set_threads(1);
     let (base_params, base_acc) = clustered_federated_rounds();
     for threads in [4usize, 8] {
@@ -251,24 +269,21 @@ fn clustered_aggregation_is_bitwise_identical_across_thread_counts() {
         );
         assert_eq!(base_acc, acc, "clustered accuracy at {threads} threads");
     }
-    pool::set_threads(1);
 }
 
 /// A figure-sweep grid (`run_budget_panel`) must produce bitwise-identical
-/// cells whether the coarse scheduler fans the mechanism trainings and
-/// budget cells out across the pool or everything runs on the caller
-/// thread (`CHIRON_COARSE=0` equivalent).
+/// cells whether named regions fan the mechanism trainings and budget
+/// cells out across the pool or, with one thread, everything runs on the
+/// caller thread.
 #[test]
 fn budget_panel_cells_match_serial_sweep() {
     let budgets = [60.0, 90.0];
+    let _sweep = common::pool_sweep();
     let sweep = || run_budget_panel(DatasetKind::MnistLike, 5, &budgets, 2, 33);
-    scope::set_coarse(false);
     pool::set_threads(1);
     let serial = sweep();
-    scope::set_coarse(true);
     pool::set_threads(4);
     let parallel = sweep();
-    pool::set_threads(1);
     assert_eq!(serial.len(), parallel.len(), "row count");
     for (s, p) in serial.iter().zip(&parallel) {
         assert_eq!(s.mechanism, p.mechanism, "row order");

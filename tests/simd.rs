@@ -6,9 +6,11 @@
 //! the public matmul API exactly as the training stack does (so the active
 //! tier, the blocking table and the `CHIRON_SIMD` knob all apply) and
 //! compare against the pinned scalar reference configuration via
-//! [`chiron_tensor::matmul_into_with`]. CI runs this suite across the
-//! `CHIRON_SIMD={0,1} × CHIRON_THREADS={1,4,8}` matrix; in-process we also
-//! sweep the pool size directly.
+//! [`chiron_tensor::matmul_into_with`]. CI runs this suite at the default
+//! tier and once more under `CHIRON_SIMD=0`; the pool size is swept
+//! in-process.
+
+mod common;
 
 use chiron_tensor::{
     detect, matmul_into_with, params_for, pool, DispatchTier, Init, KernelParams, MatView,
@@ -53,6 +55,7 @@ fn active_tier_honors_chiron_simd() {
 #[test]
 fn public_matmul_matches_pinned_scalar_reference_bitwise() {
     let mut rng = TensorRng::seed_from(1234);
+    let _sweep = common::pool_sweep();
     for (m, k, n) in SHAPES {
         let a = rng.init(&[m, k], Init::Normal(1.0));
         let b = rng.init(&[k, n], Init::Normal(1.0));
@@ -60,7 +63,6 @@ fn public_matmul_matches_pinned_scalar_reference_bitwise() {
         for threads in [1, 4, 8] {
             pool::set_threads(threads);
             let got = a.matmul(&b);
-            pool::set_threads(1);
             assert_eq!(
                 bits(got.as_slice()),
                 want,
@@ -87,10 +89,10 @@ fn transposed_variants_match_pinned_scalar_reference_bitwise() {
         DispatchTier::Scalar,
         KernelParams::pinned_scalar(),
     );
-    for threads in [1, 4] {
+    let _sweep = common::pool_sweep();
+    for threads in [1, 4, 8] {
         pool::set_threads(threads);
         let got = a_t.matmul_tn(&b);
-        pool::set_threads(1);
         assert_eq!(
             bits(got.as_slice()),
             bits(&want),

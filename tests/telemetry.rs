@@ -4,8 +4,10 @@
 //! (`episode > round > {pricing, local_training, aggregation, ppo_update}`).
 //!
 //! Thread counts are driven through [`chiron_tensor::pool::set_threads`]
-//! (not the `CHIRON_THREADS` env var, which is read once per process and
-//! would race across tests).
+//! (not the `CHIRON_THREADS` env var, which is read once per process),
+//! under the binary's pool-size lock.
+
+mod common;
 
 use chiron::{Chiron, ChironConfig, Mechanism};
 use chiron_data::DatasetKind;
@@ -33,6 +35,7 @@ fn train_digest() -> (Vec<u64>, String) {
 #[test]
 fn enabled_telemetry_is_bitwise_invisible_at_1_and_4_threads() {
     let _gate = GATE.lock().unwrap();
+    let _sweep = common::pool_sweep();
     for threads in [1usize, 4] {
         pool::set_threads(threads);
         let baseline = train_digest();
@@ -55,7 +58,6 @@ fn enabled_telemetry_is_bitwise_invisible_at_1_and_4_threads() {
             "mechanism snapshots must be byte-identical at {threads} threads"
         );
     }
-    pool::set_threads(1);
 }
 
 #[test]
