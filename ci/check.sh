@@ -32,33 +32,30 @@ echo "==> kernel + determinism suites on the pinned scalar tier"
 CHIRON_SIMD=0 cargo test -q --release --offline --test simd --test parallel_determinism
 CHIRON_SIMD=0 cargo test -q --release --offline -p chiron-tensor kernel
 
-echo "==> bench smoke (1 sample per case, scratch output dir)"
-smoke_out="${CHIRON_BENCH_SMOKE_OUT:-$(mktemp -d)}"
-mkdir -p "$smoke_out"
-# bench_fleet caps its size matrix at 10k nodes when CHIRON_BENCH_SAMPLES=1.
-CHIRON_BENCH_SAMPLES=1 CHIRON_BENCH_OUT="$smoke_out" \
-    cargo run -q --release --offline -p chiron-bench --bin bench_fleet
-
 echo "==> tournament smoke: bitwise-identical leaderboard at 1/4/8 threads"
-# The smoke grid (CHIRON_BENCH_SAMPLES=1) runs the closed-form zoo corner
-# over three scenarios; the emitted JSON must not depend on thread count.
+# The closed-form / non-learning corner of the zoo, one episode and one
+# seed over all five scenarios; the emitted JSON must not depend on
+# thread count.
+smoke_grid=(CHIRON_TOURNAMENT_MECHS=static,lemma-oracle,fmore,stackelberg
+    CHIRON_EPISODES=1 CHIRON_SEEDS=1)
 tourn_ref="$(mktemp -d)"
-CHIRON_BENCH_SAMPLES=1 CHIRON_BENCH_OUT="$tourn_ref" CHIRON_THREADS=1 \
+env "${smoke_grid[@]}" CHIRON_BENCH_OUT="$tourn_ref" CHIRON_THREADS=1 \
     cargo run -q --release --offline -p chiron-bench --bin bench_tournament >/dev/null
 for t in 4 8; do
     tourn_alt="$(mktemp -d)"
-    CHIRON_BENCH_SAMPLES=1 CHIRON_BENCH_OUT="$tourn_alt" CHIRON_THREADS=$t \
+    env "${smoke_grid[@]}" CHIRON_BENCH_OUT="$tourn_alt" CHIRON_THREADS=$t \
         cargo run -q --release --offline -p chiron-bench --bin bench_tournament >/dev/null
     diff "$tourn_ref/BENCH_tournament.json" "$tourn_alt/BENCH_tournament.json" \
         || { echo "tournament leaderboard differs at CHIRON_THREADS=$t"; exit 1; }
     rm -rf "$tourn_alt"
 done
-cp "$tourn_ref"/BENCH_tournament.json "$tourn_ref"/BENCH_tournament.md "$smoke_out"/
-rm -rf "$tourn_ref"
 # Keep the smoke output when the caller asked for it (CI publishes the
-# fleet and tournament records as workflow artifacts); scratch dirs are
-# removed.
-[ -n "${CHIRON_BENCH_SMOKE_OUT:-}" ] || rm -rf "$smoke_out"
+# leaderboard as a workflow artifact); the scratch dir is removed.
+if [ -n "${CHIRON_BENCH_SMOKE_OUT:-}" ]; then
+    mkdir -p "$CHIRON_BENCH_SMOKE_OUT"
+    cp "$tourn_ref"/BENCH_tournament.json "$tourn_ref"/BENCH_tournament.md "$CHIRON_BENCH_SMOKE_OUT"/
+fi
+rm -rf "$tourn_ref"
 
 echo "==> serve daemon smoke (submit, poll, drain-shutdown) under the thread matrix"
 for t in 1 4; do

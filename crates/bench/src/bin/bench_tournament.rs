@@ -6,12 +6,18 @@
 //! Knobs (all parsed by `RuntimeConfig`):
 //!
 //! ```text
-//! CHIRON_TOURNAMENT_EPISODES=40   training episodes per cell
-//! CHIRON_TOURNAMENT_SEEDS=3       replications per cell
+//! CHIRON_EPISODES=40              training episodes per cell
+//! CHIRON_SEEDS=3                  replications per cell
 //! CHIRON_TOURNAMENT_MECHS=a,b,c   registry ids (default: every entry)
-//! CHIRON_BENCH_LABEL=current      leaderboard label (merged by label)
 //! CHIRON_BENCH_OUT=<dir>          output directory (default: repo root)
-//! CHIRON_BENCH_SAMPLES=1          CI smoke: tiny grid, closed-form zoo
+//! ```
+//!
+//! CI's smoke grid is the closed-form / non-learning corner of the zoo,
+//! one episode and one seed over all five scenarios:
+//!
+//! ```text
+//! CHIRON_TOURNAMENT_MECHS=static,lemma-oracle,fmore,stackelberg \
+//!   CHIRON_EPISODES=1 CHIRON_SEEDS=1 cargo run --release -p chiron-bench --bin bench_tournament
 //! ```
 //!
 //! Bitwise-deterministic at any thread count: cells own their seeded
@@ -19,51 +25,32 @@
 //! `CHIRON_THREADS=1|4|8` must produce identical JSON bytes.
 
 use chiron_baselines::{parse_ids, registry, MechanismSpec};
-use chiron_bench::timing::{label_from_env, samples_from_env};
 use chiron_bench::tournament::{
-    aggregate, episodes_from_env, markdown_leaderboard, run_grid, scenario, scenarios,
-    seeds_from_env, write_tournament, Scenario, TournamentRun,
+    aggregate, markdown_leaderboard, run_grid, scenarios, write_tournament, Scenario, TournamentRun,
 };
+use chiron_bench::{episodes_from_env, seeds_from_env};
 
 fn main() {
-    let smoke = samples_from_env() == 1;
-
-    let config = chiron_telemetry::RuntimeConfig::global();
-    let mechanisms: Vec<&'static MechanismSpec> = match (smoke, &config.tournament_mechs) {
-        // CI smoke: the closed-form / non-learning corner of the zoo —
-        // enough to exercise the grid, aggregation, and determinism
-        // contract without training anything.
-        (true, _) => ["static", "lemma-oracle", "fmore", "stackelberg"]
-            .iter()
-            .map(|id| chiron_baselines::find(id).expect("smoke ids are registered"))
-            .collect(),
-        (false, Some(csv)) => parse_ids(csv).unwrap_or_else(|err| panic!("{err}")),
-        (false, None) => registry().iter().collect(),
-    };
-    let scenario_set: Vec<&'static Scenario> = if smoke {
-        vec![
-            scenario("iid"),
-            scenario("tight_budget"),
-            scenario("faulty"),
-        ]
-    } else {
-        scenarios().iter().collect()
-    };
-    let episodes = if smoke { 1 } else { episodes_from_env(40) };
-    let seeds = if smoke { 1 } else { seeds_from_env(3) };
+    let mechanisms: Vec<&'static MechanismSpec> =
+        match &chiron_telemetry::RuntimeConfig::global().tournament_mechs {
+            Some(csv) => parse_ids(csv).unwrap_or_else(|err| panic!("{err}")),
+            None => registry().iter().collect(),
+        };
+    let scenario_set: Vec<&'static Scenario> = scenarios().iter().collect();
+    let episodes = episodes_from_env(40);
+    let seeds = seeds_from_env(3);
 
     println!(
-        "tournament: {} mechanisms × {} scenarios × {} seeds, {} episodes/cell{}",
+        "tournament: {} mechanisms × {} scenarios × {} seeds, {} episodes/cell",
         mechanisms.len(),
         scenario_set.len(),
         seeds,
         episodes,
-        if smoke { " (smoke)" } else { "" }
     );
 
     let outcomes = run_grid(&mechanisms, &scenario_set, episodes, seeds);
     let run = TournamentRun {
-        label: label_from_env(),
+        label: "current".to_owned(),
         episodes,
         seeds,
         cells: aggregate(&outcomes),

@@ -29,7 +29,6 @@
 
 pub mod plot;
 pub mod stats;
-pub mod timing;
 pub mod tournament;
 
 use chiron::{Chiron, ChironConfig, EpisodeRun, Mechanism};
@@ -56,10 +55,15 @@ pub fn write_csv(name: &str, content: &str) {
 
 /// Number of training episodes, overridable with `CHIRON_EPISODES` (the
 /// paper uses 500; the default keeps `repro_all` under a few minutes).
+/// `0` or a malformed value keeps `default`.
 pub fn episodes_from_env(default: usize) -> usize {
-    chiron_telemetry::RuntimeConfig::global()
-        .episodes
-        .unwrap_or(default)
+    count_or(chiron_telemetry::RuntimeConfig::global().episodes, default)
+}
+
+/// A count knob's value, or `default` when it is unset or zero (a zero
+/// count would silently run nothing).
+fn count_or(knob: Option<usize>, default: usize) -> usize {
+    knob.filter(|&n| n > 0).unwrap_or(default)
 }
 
 /// Builds the evaluation environment for a scale/dataset/budget triple.
@@ -174,14 +178,12 @@ pub fn mean_summary(summaries: &[EpisodeSummary]) -> EpisodeSummary {
     }
 }
 
-/// Replication count for the sweep binaries, overridable with
-/// `CHIRON_SEEDS` (each replication re-trains and re-evaluates with a
-/// different seed; results are averaged).
+/// Replication count for the sweep binaries and the tournament,
+/// overridable with `CHIRON_SEEDS` (each replication re-trains and
+/// re-evaluates with a different seed; results are averaged). `0` or a
+/// malformed value keeps `default`.
 pub fn seeds_from_env(default: usize) -> usize {
-    chiron_telemetry::RuntimeConfig::global()
-        .seeds
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
+    count_or(chiron_telemetry::RuntimeConfig::global().seeds, default)
 }
 
 /// [`run_budget_panel`] replicated over several seeds **in parallel** (one
@@ -466,6 +468,23 @@ mod tests {
     fn reward_csv_has_one_row_per_episode() {
         let csv = reward_curve_csv(&[1.0, 2.0], 2);
         assert_eq!(csv.lines().count(), 3);
+    }
+
+    #[test]
+    fn zero_and_malformed_counts_keep_the_default() {
+        use chiron_telemetry::RuntimeConfig;
+        for raw in ["0", " 0 ", "-3", "many", ""] {
+            let rt = RuntimeConfig::from_lookup(|_| Some(raw.to_owned()));
+            assert_eq!(count_or(rt.episodes, 40), 40, "CHIRON_EPISODES={raw:?}");
+            assert_eq!(count_or(rt.seeds, 3), 3, "CHIRON_SEEDS={raw:?}");
+        }
+        let rt = RuntimeConfig::from_lookup(|name| match name {
+            "CHIRON_EPISODES" => Some(" 7 ".to_owned()),
+            "CHIRON_SEEDS" => Some("2".to_owned()),
+            _ => None,
+        });
+        assert_eq!(count_or(rt.episodes, 40), 7);
+        assert_eq!(count_or(rt.seeds, 3), 2);
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! in one scenario, evaluates it deterministically, and the grid is
 //! aggregated per (mechanism, scenario) into mean ± std of server
 //! utility, final accuracy, and time efficiency. Results land in
-//! `BENCH_tournament.json` (merged by `CHIRON_BENCH_LABEL`, like the
-//! timing benches) plus a human-oriented `BENCH_tournament.md`
+//! `BENCH_tournament.json` plus a human-oriented `BENCH_tournament.md`
 //! leaderboard.
 //!
 //! Determinism contract: every cell owns its environment and mechanism,
@@ -28,6 +27,7 @@ use chiron_fedsim::metrics::EpisodeSummary;
 use chiron_fedsim::{EdgeLearningEnv, EnvConfig, Participation};
 use chiron_tensor::pool;
 use serde::{Deserialize, Serialize};
+use std::path::PathBuf;
 
 /// One tournament environment scenario.
 #[derive(Clone, Copy)]
@@ -108,28 +108,12 @@ pub fn scenarios() -> &'static [Scenario] {
     &SCENARIOS
 }
 
-/// Looks up a scenario by id (used by the smoke subset).
+/// Looks up a scenario by id.
 pub fn scenario(id: &str) -> &'static Scenario {
     SCENARIOS
         .iter()
         .find(|s| s.id == id)
         .unwrap_or_else(|| panic!("unknown tournament scenario `{id}`"))
-}
-
-/// Training episodes per cell: `CHIRON_TOURNAMENT_EPISODES` (default 40).
-pub fn episodes_from_env(default: usize) -> usize {
-    chiron_telemetry::RuntimeConfig::global()
-        .tournament_episodes
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
-
-/// Replications per cell: `CHIRON_TOURNAMENT_SEEDS` (default 3).
-pub fn seeds_from_env(default: usize) -> usize {
-    chiron_telemetry::RuntimeConfig::global()
-        .tournament_seeds
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
 }
 
 /// One evaluated grid cell (a single replication, pre-aggregation).
@@ -171,10 +155,10 @@ pub struct TournamentCell {
     pub spent_mean: f64,
 }
 
-/// One labelled tournament run (the merge unit of the JSON record).
+/// One labelled tournament run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TournamentRun {
-    /// Run label (`CHIRON_BENCH_LABEL`, default `current`).
+    /// Run label (`bench_tournament` writes `current`).
     pub label: String,
     /// Training episodes per cell.
     pub episodes: usize,
@@ -187,7 +171,7 @@ pub struct TournamentRun {
 /// The on-disk shape of `BENCH_tournament.json`.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct TournamentFile {
-    /// All recorded runs, one per label, in insertion order.
+    /// The recorded runs; [`write_tournament`] writes exactly one.
     pub runs: Vec<TournamentRun>,
 }
 
@@ -367,27 +351,35 @@ pub fn markdown_leaderboard(run: &TournamentRun) -> String {
     md
 }
 
-/// Merges `run` into `<out_dir>/BENCH_tournament.json` (replacing the
-/// entry with the same label) and rewrites `BENCH_tournament.md` from it.
+/// Output directory for the tournament record: `CHIRON_BENCH_OUT` when
+/// set (the CI smoke run points it at a scratch dir so the committed
+/// record stays clean), otherwise the repo root.
+fn out_dir() -> PathBuf {
+    chiron_telemetry::RuntimeConfig::global()
+        .bench_out
+        .as_ref()
+        .map_or_else(
+            || PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../.."),
+            PathBuf::from,
+        )
+}
+
+/// Writes `run` as the only entry of `<out_dir>/BENCH_tournament.json`
+/// and its leaderboard as `BENCH_tournament.md`.
 ///
 /// # Panics
 ///
-/// Panics if an existing record fails to parse or either file cannot be
-/// written.
+/// Panics if either file cannot be written.
 pub fn write_tournament(run: &TournamentRun) {
-    let json_path = crate::timing::out_dir().join("BENCH_tournament.json");
-    let mut file: TournamentFile = match std::fs::read_to_string(&json_path) {
-        Ok(text) => serde_json::from_str(&text)
-            .unwrap_or_else(|e| panic!("corrupt BENCH_tournament.json: {e} — fix or delete it")),
-        Err(_) => TournamentFile::default(),
+    let file = TournamentFile {
+        runs: vec![run.clone()],
     };
-    file.runs.retain(|r| r.label != run.label);
-    file.runs.push(run.clone());
+    let json_path = out_dir().join("BENCH_tournament.json");
     let json = serde_json::to_string_pretty(&file).expect("tournament serialization is infallible");
     std::fs::write(&json_path, json + "\n").expect("write tournament JSON");
     println!("wrote {}", json_path.display());
 
-    let md_path = crate::timing::out_dir().join("BENCH_tournament.md");
+    let md_path = out_dir().join("BENCH_tournament.md");
     std::fs::write(&md_path, markdown_leaderboard(run)).expect("write tournament markdown");
     println!("wrote {}", md_path.display());
 }

@@ -319,21 +319,13 @@ fn apply_jobs(args: &ParsedArgs) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Opens a telemetry session when `--telemetry <path>` (or the
-/// `CHIRON_TELEMETRY` variable) asks for one; `None` means disabled.
-fn telemetry_from(
-    args: &ParsedArgs,
-    rt: &RuntimeConfig,
-) -> Result<Option<TelemetrySession>, CliError> {
-    let path = args
-        .options
-        .get("telemetry")
-        .cloned()
-        .or_else(|| rt.telemetry.clone());
-    match path {
+/// Opens a telemetry session when `--telemetry <path>` asks for one;
+/// `None` means disabled.
+fn telemetry_from(args: &ParsedArgs) -> Result<Option<TelemetrySession>, CliError> {
+    match args.options.get("telemetry") {
         None => Ok(None),
         Some(path) => {
-            let session = TelemetrySession::to_jsonl(&path)?;
+            let session = TelemetrySession::to_jsonl(path)?;
             println!("telemetry streaming to {path} (aggregates: {path}.prom)");
             Ok(Some(session))
         }
@@ -391,7 +383,7 @@ pub fn train(args: &ParsedArgs, rt: &RuntimeConfig) -> Result<(), CliError> {
         ));
     }
     apply_jobs(args)?;
-    let telemetry = telemetry_from(args, rt)?;
+    let telemetry = telemetry_from(args)?;
     shutdown::install();
 
     let mut env = build_env(kind, nodes, budget, seed, rt)?;
@@ -498,7 +490,7 @@ fn train_checkpointed(
 /// daemon until `POST /shutdown` or a SIGINT/SIGTERM, then drains:
 /// running jobs park at their next checkpoint and the process exits
 /// (with [`shutdown::EXIT_INTERRUPTED`] when signalled).
-pub fn serve(args: &ParsedArgs, rt: &RuntimeConfig) -> Result<(), CliError> {
+pub fn serve(args: &ParsedArgs) -> Result<(), CliError> {
     args.reject_unknown(&[
         "addr",
         "workers",
@@ -513,9 +505,9 @@ pub fn serve(args: &ParsedArgs, rt: &RuntimeConfig) -> Result<(), CliError> {
         "jobs",
     ])?;
     apply_jobs(args)?;
-    let telemetry = telemetry_from(args, rt)?;
+    let telemetry = telemetry_from(args)?;
 
-    let mut cfg = ServeConfig::from_runtime(rt);
+    let mut cfg = ServeConfig::default();
     if let Some(addr) = args.options.get("addr") {
         cfg.addr = addr.clone();
     }
@@ -603,7 +595,7 @@ pub fn eval(args: &ParsedArgs, rt: &RuntimeConfig) -> Result<(), CliError> {
         ));
     }
     apply_jobs(args)?;
-    let telemetry = telemetry_from(args, rt)?;
+    let telemetry = telemetry_from(args)?;
 
     let mut env = build_env(kind, nodes, budget, seed, rt)?;
     let mut mech = Chiron::new(&env, ChironConfig::paper(), seed);
@@ -754,7 +746,7 @@ pub fn sweep(args: &ParsedArgs, rt: &RuntimeConfig) -> Result<(), CliError> {
 
 /// `chiron-cli run` — executes an experiment file (`--config exp.json`),
 /// or writes a starting template (`--init exp.json`).
-pub fn run(args: &ParsedArgs, rt: &RuntimeConfig) -> Result<(), CliError> {
+pub fn run(args: &ParsedArgs) -> Result<(), CliError> {
     args.reject_unknown(&["config", "init", "out", "telemetry", "jobs"])?;
     apply_jobs(args)?;
     if let Some(path) = args.options.get("init") {
@@ -771,7 +763,7 @@ pub fn run(args: &ParsedArgs, rt: &RuntimeConfig) -> Result<(), CliError> {
         path: path.to_owned(),
         source: e,
     })?;
-    let telemetry = telemetry_from(args, rt)?;
+    let telemetry = telemetry_from(args)?;
 
     println!("experiment: {}", exp.description);
     println!(
@@ -915,19 +907,15 @@ commands:
   info      version and paper reference
 
 environment variables (read once at startup; see README.md for the table):
-  CHIRON_TELEMETRY=PATH   stream telemetry JSONL to PATH (same as --telemetry)
   CHIRON_FAULT_SEED=U64   install the standard stochastic fault process
   CHIRON_QUORUM=N         require ≥ N responders per round (refund otherwise)
   CHIRON_DEADLINE_SLACK=F evict responders slower than F x the Lemma-1 deadline
   CHIRON_FLEET_SAMPLE=K   price a K-node sample per round (0/unset = full fleet)
-  CHIRON_FLEET_CLUSTERS=C two-level aggregation over C edge clusters (default 1)
   CHIRON_THREADS=N        worker-pool size (same as --jobs)
-  CHIRON_TOURNAMENT_EPISODES / _SEEDS / _MECHS
-                          bench_tournament grid: training episodes per cell
-                          (40), replications (3), registry ids (all entries)
-  CHIRON_SERVE_ADDR / _WORKERS / _QUEUE_CAP / _INFLIGHT / _RETRY_MAX /
-  CHIRON_SERVE_BACKOFF_MS / _CKPT_EVERY / _DEADLINE_MS / _STATE_DIR
-                          serve daemon defaults (flags override)
+  CHIRON_SIMD=0           pin the scalar kernel tier (bitwise-identical)
+  CHIRON_EPISODES / _SEEDS / _BENCH_OUT / _TOURNAMENT_MECHS
+                          chiron-bench binaries: training episodes,
+                          replications, output dir, tournament registry ids
 "
     .to_owned()
 }
@@ -937,8 +925,10 @@ mod tests {
     use super::*;
     use crate::args::parse;
 
+    /// No knobs set: the tests never read (or write) the process
+    /// environment, so they cannot race each other through it.
     fn rt() -> RuntimeConfig {
-        RuntimeConfig::from_env()
+        RuntimeConfig::default()
     }
 
     #[test]
@@ -1096,7 +1086,7 @@ mod tests {
         let cfg_s = cfg.to_str().expect("utf8");
 
         let args = parse(&["run", "--init", cfg_s]).expect("parse");
-        run(&args, &rt()).expect("init writes template");
+        run(&args).expect("init writes template");
 
         // Shrink the template so the test is fast.
         let mut exp: ExperimentConfig =
@@ -1106,7 +1096,7 @@ mod tests {
         std::fs::write(&cfg, serde_json::to_string(&exp).expect("ser")).expect("write");
 
         let args = parse(&["run", "--config", cfg_s]).expect("parse");
-        run(&args, &rt()).expect("run executes");
+        run(&args).expect("run executes");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1117,7 +1107,7 @@ mod tests {
         let cfg = dir.join("bad.json");
         std::fs::write(&cfg, "{not json").expect("write");
         let args = parse(&["run", "--config", cfg.to_str().expect("utf8")]).expect("parse");
-        let err = run(&args, &rt()).expect_err("malformed config");
+        let err = run(&args).expect_err("malformed config");
         assert!(matches!(err, CliError::Experiment { .. }));
         assert!(std::error::Error::source(&err).is_some());
         std::fs::remove_dir_all(&dir).ok();
@@ -1176,29 +1166,28 @@ mod tests {
     }
 
     #[test]
-    fn fault_seed_env_var_installs_fault_process() {
-        std::env::set_var("CHIRON_FAULT_SEED", "77");
-        let rt_set = RuntimeConfig::from_env();
-        std::env::remove_var("CHIRON_FAULT_SEED");
+    fn fault_seed_knob_installs_fault_process() {
+        let rt_set = RuntimeConfig {
+            fault_seed: Some(77),
+            ..RuntimeConfig::default()
+        };
         let env = build_env(DatasetKind::MnistLike, 3, 50.0, 0, &rt_set).expect("valid");
         let config = env.fault_process_config().expect("fault process installed");
         assert_eq!(config.seed, 77);
         assert!(config.availability.is_some());
 
-        // Malformed values are ignored rather than fatal.
-        std::env::set_var("CHIRON_FAULT_SEED", "not-a-number");
-        let rt_bad = RuntimeConfig::from_env();
-        std::env::remove_var("CHIRON_FAULT_SEED");
-        let env = build_env(DatasetKind::MnistLike, 3, 50.0, 0, &rt_bad).expect("valid");
+        // Unset (and malformed, which parses to unset) installs nothing.
+        let env = build_env(DatasetKind::MnistLike, 3, 50.0, 0, &rt()).expect("valid");
         assert!(env.fault_process_config().is_none());
     }
 
     #[test]
-    fn fleet_sample_env_var_switches_on_sampling() {
-        std::env::set_var("CHIRON_FLEET_SAMPLE", "2");
-        let rt_set = RuntimeConfig::from_env();
-        std::env::remove_var("CHIRON_FLEET_SAMPLE");
-        let env = build_env(DatasetKind::MnistLike, 5, 50.0, 0, &rt_set).expect("valid");
+    fn fleet_sample_knob_switches_on_sampling() {
+        let sampled = |k| RuntimeConfig {
+            fleet_sample: Some(k),
+            ..RuntimeConfig::default()
+        };
+        let env = build_env(DatasetKind::MnistLike, 5, 50.0, 0, &sampled(2)).expect("valid");
         assert_eq!(
             env.config().participation,
             chiron_fedsim::Participation::Sampled { per_round: 2 }
@@ -1206,14 +1195,13 @@ mod tests {
         assert_eq!(env.selection_for(1).len(), 2);
 
         // 0 (and unset) keep full participation.
-        std::env::set_var("CHIRON_FLEET_SAMPLE", "0");
-        let rt_zero = RuntimeConfig::from_env();
-        std::env::remove_var("CHIRON_FLEET_SAMPLE");
-        let env = build_env(DatasetKind::MnistLike, 5, 50.0, 0, &rt_zero).expect("valid");
-        assert_eq!(
-            env.config().participation,
-            chiron_fedsim::Participation::Full
-        );
+        for rt in [sampled(0), rt()] {
+            let env = build_env(DatasetKind::MnistLike, 5, 50.0, 0, &rt).expect("valid");
+            assert_eq!(
+                env.config().participation,
+                chiron_fedsim::Participation::Full
+            );
+        }
     }
 
     #[test]

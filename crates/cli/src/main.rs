@@ -20,8 +20,8 @@ fn main() {
         Some("eval") => commands::eval(&parsed, &rt),
         Some("compare") => commands::compare(&parsed, &rt),
         Some("sweep") => commands::sweep(&parsed, &rt),
-        Some("run") => commands::run(&parsed, &rt),
-        Some("serve") => commands::serve(&parsed, &rt),
+        Some("run") => commands::run(&parsed),
+        Some("serve") => commands::serve(&parsed),
         Some("info") => {
             commands::info();
             Ok(())

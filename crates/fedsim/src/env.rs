@@ -286,20 +286,12 @@ impl Default for ResilienceConfig {
 }
 
 impl ResilienceConfig {
-    /// Reads the countermeasure knobs from the environment:
+    /// Builds the countermeasure knobs from an already-parsed
+    /// [`RuntimeConfig`](chiron_telemetry::RuntimeConfig) (the CLI reads
+    /// the environment once at startup and passes it down):
     /// `CHIRON_QUORUM` (minimum participants) and `CHIRON_DEADLINE_SLACK`
     /// (deadline multiplier, must be ≥ 1 to take effect). Unset or
     /// malformed variables leave the default (off).
-    ///
-    /// This is a fresh [`RuntimeConfig::from_env`](chiron_telemetry::RuntimeConfig::from_env)
-    /// read, so tests that `set_var` mid-process observe their changes.
-    pub fn from_env() -> Self {
-        Self::from_runtime(&chiron_telemetry::RuntimeConfig::from_env())
-    }
-
-    /// Builds the countermeasure knobs from an already-parsed
-    /// [`RuntimeConfig`](chiron_telemetry::RuntimeConfig) (the CLI reads
-    /// the environment once at startup and passes it down).
     pub fn from_runtime(rt: &chiron_telemetry::RuntimeConfig) -> Self {
         let mut cfg = Self::default();
         if let Some(q) = rt.quorum {
@@ -1612,7 +1604,6 @@ mod tests {
                     sigma: 0.05,
                     max_factor: 2.0,
                 }),
-                ..FaultProcessConfig::default()
             }));
             e
         };

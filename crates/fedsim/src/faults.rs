@@ -371,78 +371,6 @@ pub struct ReserveDrift {
     pub max_factor: f64,
 }
 
-/// Fleet-wide diurnal availability wave: each of `regions` contiguous
-/// node blocks ("time zones") cycles through a cosine day/night pattern
-/// of length `period` rounds, phase-shifted per region. At the trough of
-/// its night a region has up to `depth` of its nodes offline; the
-/// per-node offline coin is a stateless function of `(seed, node, round)`
-/// so the wave costs O(selected) per round and never perturbs the
-/// per-node chain streams.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DiurnalWave {
-    /// Rounds per simulated day (≥ 1).
-    pub period: usize,
-    /// Peak fraction of a region offline at its trough, clamped to [0, 1].
-    pub depth: f64,
-    /// Number of phase-shifted regions (≥ 1).
-    pub regions: usize,
-}
-
-impl DiurnalWave {
-    /// A standard wave: 24-round day, 60 % of a region offline at the
-    /// trough, 4 time zones.
-    pub fn standard() -> Self {
-        Self {
-            period: 24,
-            depth: 0.6,
-            regions: 4,
-        }
-    }
-
-    /// The offline probability for `region` (of `self.regions`) when
-    /// executing `round`: `depth · ½(1 − cos(2π(round/period +
-    /// region/regions)))`, so round 0 of region 0 sits at full
-    /// availability and the trough is half a period later.
-    pub fn offline_probability(&self, region: usize, round: usize) -> f64 {
-        let period = self.period.max(1) as f64;
-        let regions = self.regions.max(1) as f64;
-        let phase = round as f64 / period + region as f64 / regions;
-        self.depth.clamp(0.0, 1.0) * 0.5 * (1.0 - (2.0 * std::f64::consts::PI * phase).cos())
-    }
-}
-
-/// A hard regional blackout: every node in the target region is offline
-/// for rounds in `[from_round, until_round)` — a data-center or backbone
-/// outage preset for the fleet scenarios.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RegionalOutage {
-    /// Number of contiguous node regions the fleet divides into (≥ 1).
-    pub regions: usize,
-    /// Index of the blacked-out region (`< regions`).
-    pub region: usize,
-    /// First affected round (1-based, like scheduled faults).
-    pub from_round: usize,
-    /// First healed round (exclusive end); `usize::MAX` ⇒ permanent.
-    pub until_round: usize,
-}
-
-impl RegionalOutage {
-    /// Whether the outage is live when executing `round`.
-    pub fn active_at(&self, round: usize) -> bool {
-        round >= self.from_round && round < self.until_round
-    }
-}
-
-/// The contiguous region (`0..regions`) a node belongs to when a fleet of
-/// `num_nodes` is split into `regions` equal blocks.
-pub fn region_of(node: usize, num_nodes: usize, regions: usize) -> usize {
-    let regions = regions.max(1);
-    if num_nodes == 0 {
-        return 0;
-    }
-    (((node as u128) * regions as u128) / num_nodes as u128).min(regions as u128 - 1) as usize
-}
-
 /// Configuration of the seeded generative fault model. Every enabled
 /// component runs per node, and the whole process is a pure function of
 /// `(seed, node, round)` — replaying an episode (or resuming from a
@@ -458,14 +386,6 @@ pub struct FaultProcessConfig {
     pub jitter: Option<UploadJitter>,
     /// Reserve-utility drift, if enabled.
     pub drift: Option<ReserveDrift>,
-    /// Fleet-wide diurnal availability wave, if enabled. Stateless
-    /// overlay: it never consumes from (or shifts) the per-node chain
-    /// streams, so enabling it leaves jitter/drift trajectories intact.
-    /// (Absent in old checkpoints; missing fields deserialize to `None`.)
-    pub diurnal: Option<DiurnalWave>,
-    /// Hard regional blackout window, if enabled. Deterministic overlay
-    /// (no randomness at all).
-    pub outage: Option<RegionalOutage>,
 }
 
 impl FaultProcessConfig {
@@ -490,38 +410,6 @@ impl FaultProcessConfig {
                 sigma: 0.05,
                 max_factor: 2.0,
             }),
-            diurnal: None,
-            outage: None,
-        }
-    }
-
-    /// The fleet-scenario preset "diurnal": the
-    /// [`standard`](FaultProcessConfig::standard) chains plus a
-    /// [`DiurnalWave::standard`] availability wave.
-    pub fn diurnal(seed: u64) -> Self {
-        Self {
-            diurnal: Some(DiurnalWave::standard()),
-            ..Self::standard(seed)
-        }
-    }
-
-    /// The fleet-scenario preset "regional outage": the
-    /// [`standard`](FaultProcessConfig::standard) chains plus a blackout
-    /// of one of four regions over `[from_round, until_round)`.
-    pub fn regional_outage(
-        seed: u64,
-        region: usize,
-        from_round: usize,
-        until_round: usize,
-    ) -> Self {
-        Self {
-            outage: Some(RegionalOutage {
-                regions: 4,
-                region,
-                from_round,
-                until_round,
-            }),
-            ..Self::standard(seed)
         }
     }
 }
@@ -702,44 +590,14 @@ impl FaultProcess {
         while cursor.round < round {
             cursor.advance(&config);
         }
-        let chain = if round == cursor.round {
+        if round == cursor.round {
             cursor.current
         } else {
             // round == cursor.round - 1, retained for transition events.
             cursor.prev
-        };
-        let available = chain.available && overlay_available(&config, self.num_nodes, node, round);
-        FaultDraw { available, ..chain }
-    }
-}
-
-/// The stateless availability overlay (diurnal wave + regional outage)
-/// for `(node, round)`; `true` when neither holds the node offline.
-fn overlay_available(
-    config: &FaultProcessConfig,
-    num_nodes: usize,
-    node: usize,
-    round: usize,
-) -> bool {
-    if let Some(wave) = config.diurnal {
-        let region = region_of(node, num_nodes, wave.regions);
-        let p_off = wave.offline_probability(region, round);
-        if p_off > 0.0
-            && counter_uniform(config.seed ^ DIURNAL_TAG, node as u64, round as u64) < p_off
-        {
-            return false;
         }
     }
-    if let Some(outage) = config.outage {
-        if outage.active_at(round) && region_of(node, num_nodes, outage.regions) == outage.region {
-            return false;
-        }
-    }
-    true
 }
-
-/// Domain-separation tag for the diurnal wave's stateless coin flips.
-const DIURNAL_TAG: u64 = 0xD1u64 << 56;
 
 /// splitmix64 finalizer: a high-quality 64-bit mix.
 fn splitmix(mut z: u64) -> u64 {
@@ -751,7 +609,7 @@ fn splitmix(mut z: u64) -> u64 {
 
 /// A stateless uniform on `[0, 1)` keyed by `(seed, node, round)` — the
 /// counter-based generator behind every *new* per-selected-node draw
-/// (diurnal coins, sampled-mode channel fading). Being stateless it is
+/// (sampled-mode channel fading). Being stateless it is
 /// trivially order-independent and thread-safe, which is what keeps the
 /// sampled participation path bitwise-deterministic at any thread count.
 pub(crate) fn counter_uniform(seed: u64, node: u64, round: u64) -> f64 {
@@ -1083,7 +941,6 @@ mod tests {
                 sigma: 0.1,
                 max_factor: 3.0,
             }),
-            ..Default::default()
         }
     }
 
@@ -1172,90 +1029,6 @@ mod tests {
             let _ = p.draw(node, 5);
         }
         assert_eq!(p.active_streams(), 4);
-    }
-
-    #[test]
-    fn diurnal_overlay_does_not_shift_chain_streams() {
-        let plain = process_config();
-        let waved = FaultProcessConfig {
-            diurnal: Some(DiurnalWave::standard()),
-            ..plain
-        };
-        let mut a = FaultProcess::new(plain, 8);
-        let mut b = FaultProcess::new(waved, 8);
-        for r in 1..=60 {
-            for n in 0..8 {
-                let da = a.draw(n, r);
-                let db = b.draw(n, r);
-                assert_eq!(da.upload_factor.to_bits(), db.upload_factor.to_bits());
-                assert_eq!(da.reserve_factor.to_bits(), db.reserve_factor.to_bits());
-                // The wave can only take nodes down, never bring them up.
-                assert!(da.available || !db.available);
-            }
-        }
-    }
-
-    #[test]
-    fn diurnal_wave_cycles_availability() {
-        let config = FaultProcessConfig {
-            seed: 7,
-            diurnal: Some(DiurnalWave {
-                period: 10,
-                depth: 1.0,
-                regions: 1,
-            }),
-            ..Default::default()
-        };
-        let wave = config.diurnal.unwrap();
-        // Peak availability at round 0 mod period, trough half a period in.
-        assert!(wave.offline_probability(0, 10) < 1e-9);
-        assert!((wave.offline_probability(0, 5) - 1.0).abs() < 1e-9);
-        let mut p = FaultProcess::new(config, 1000);
-        let up_at = |p: &mut FaultProcess, r: usize| -> usize {
-            (0..1000).filter(|&n| p.draw(n, r).available).count()
-        };
-        let at_peak = up_at(&mut p, 10);
-        let at_trough = up_at(&mut p, 5);
-        assert!(at_peak > 990, "peak availability {at_peak}/1000");
-        assert!(at_trough < 10, "trough availability {at_trough}/1000");
-    }
-
-    #[test]
-    fn regional_outage_blacks_out_one_region() {
-        let config = FaultProcessConfig {
-            seed: 1,
-            outage: Some(RegionalOutage {
-                regions: 4,
-                region: 2,
-                from_round: 3,
-                until_round: 6,
-            }),
-            ..Default::default()
-        };
-        let mut p = FaultProcess::new(config, 100);
-        for node in 0..100 {
-            let region = region_of(node, 100, 4);
-            assert!(p.draw(node, 2).available, "node {node} before outage");
-            assert_eq!(
-                p.draw(node, 3).available,
-                region != 2,
-                "node {node} during outage"
-            );
-            assert_eq!(p.draw(node, 5).available, region != 2);
-            assert!(p.draw(node, 6).available, "node {node} after heal");
-        }
-    }
-
-    #[test]
-    fn region_of_partitions_contiguously() {
-        assert_eq!(region_of(0, 100, 4), 0);
-        assert_eq!(region_of(24, 100, 4), 0);
-        assert_eq!(region_of(25, 100, 4), 1);
-        assert_eq!(region_of(99, 100, 4), 3);
-        // Degenerate inputs stay in range.
-        assert_eq!(region_of(5, 3, 4), 3);
-        assert_eq!(region_of(0, 0, 4), 0);
-        assert_eq!(region_of(7, 10, 0), 0);
     }
 
     #[test]

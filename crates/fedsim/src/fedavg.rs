@@ -74,78 +74,6 @@ pub fn aggregate_into(global: &mut [f32], updates: &[(&[f32], f64)]) {
     });
 }
 
-/// Two-level (clustered) federated averaging: updates are partitioned
-/// into `clusters` contiguous edge clusters, each cluster accumulates its
-/// weighted partial sum independently, and the partials are combined in
-/// cluster order before the single global normalization.
-///
-/// This is the edge-aggregation topology hierarchical FL deployments use
-/// (nodes report to their edge server, edge servers report to the cloud),
-/// and it parallelizes: the per-cluster partials fan out through a named
-/// [`chiron_tensor::pool::map`] region while the cluster-order join keeps
-/// the result bitwise-identical at every thread count. `clusters == 1`
-/// delegates to [`aggregate_into`] and is bitwise-identical to it;
-/// `clusters > updates.len()` is clamped.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`aggregate_into`], or if
-/// `clusters` is zero.
-pub fn aggregate_clustered_into(global: &mut [f32], updates: &[(&[f32], f64)], clusters: usize) {
-    assert!(clusters > 0, "need at least one cluster");
-    if clusters == 1 {
-        return aggregate_into(global, updates);
-    }
-    assert!(!updates.is_empty(), "aggregate needs at least one update");
-    let len = global.len();
-    for (i, (params, w)) in updates.iter().enumerate() {
-        assert_eq!(
-            params.len(),
-            len,
-            "update {i} has {} params, expected {len}",
-            params.len()
-        );
-        assert!(*w > 0.0, "update {i} has non-positive weight {w}");
-    }
-    let clusters = clusters.min(updates.len());
-    let ranges: Vec<(usize, usize)> = (0..clusters)
-        .map(|c| {
-            (
-                c * updates.len() / clusters,
-                (c + 1) * updates.len() / clusters,
-            )
-        })
-        .collect();
-    // Level 1: per-cluster unnormalized weighted sums, in f64. Each
-    // cluster is one task of a named region; results come back in
-    // cluster order.
-    let partials: Vec<(Vec<f64>, f64)> =
-        chiron_tensor::pool::map("fedavg.clusters", &ranges, |_, &(start, end)| {
-            let mut acc = vec![0.0f64; len];
-            let mut weight = 0.0f64;
-            for (params, w) in &updates[start..end] {
-                weight += w;
-                for (slot, &p) in acc.iter_mut().zip(*params) {
-                    *slot += w * f64::from(p);
-                }
-            }
-            (acc, weight)
-        });
-    // Level 2: global combine, sequential over clusters (the cluster
-    // count is small and fixed, so this join order — not the thread
-    // schedule — defines the floating-point result).
-    let total_weight: f64 = partials.iter().map(|(_, w)| w).sum();
-    let mut acc = vec![0.0f64; len];
-    for (partial, _) in &partials {
-        for (slot, &x) in acc.iter_mut().zip(partial) {
-            *slot += x;
-        }
-    }
-    for (dst, &x) in global.iter_mut().zip(&acc) {
-        *dst = (x / total_weight) as f32;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,68 +123,6 @@ mod tests {
     fn zero_weight_rejected() {
         let a = vec![1.0f32];
         let _ = aggregate(&[(&a, 0.0)]);
-    }
-
-    #[test]
-    fn clustered_matches_flat_within_tolerance() {
-        let updates: Vec<Vec<f32>> = (0..13)
-            .map(|i| {
-                (0..32)
-                    .map(|j| ((i * 31 + j * 7) % 11) as f32 * 0.25 - 1.0)
-                    .collect()
-            })
-            .collect();
-        let refs: Vec<(&[f32], f64)> = updates
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.as_slice(), 1.0 + i as f64))
-            .collect();
-        let mut flat = vec![0.0f32; 32];
-        aggregate_into(&mut flat, &refs);
-        for clusters in [2, 3, 4, 13, 64] {
-            let mut two_level = vec![0.0f32; 32];
-            aggregate_clustered_into(&mut two_level, &refs, clusters);
-            for (a, b) in flat.iter().zip(&two_level) {
-                assert!((a - b).abs() < 1e-5, "clusters={clusters}: {a} vs {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn one_cluster_is_bitwise_flat() {
-        let a = vec![0.3f32, -2.5, 7.0];
-        let b = vec![1.5f32, 0.25, -0.125];
-        let refs: Vec<(&[f32], f64)> = vec![(&a, 2.0), (&b, 5.0)];
-        let mut flat = vec![0.0f32; 3];
-        aggregate_into(&mut flat, &refs);
-        let mut clustered = vec![0.0f32; 3];
-        aggregate_clustered_into(&mut clustered, &refs, 1);
-        let flat_bits: Vec<u32> = flat.iter().map(|x| x.to_bits()).collect();
-        let clustered_bits: Vec<u32> = clustered.iter().map(|x| x.to_bits()).collect();
-        assert_eq!(flat_bits, clustered_bits);
-    }
-
-    #[test]
-    fn clustered_result_is_independent_of_cluster_execution_order() {
-        // The cluster-order join defines the result; running the same
-        // inputs twice must be bitwise-stable.
-        let updates: Vec<Vec<f32>> = (0..9).map(|i| vec![i as f32 * 0.5; 16]).collect();
-        let refs: Vec<(&[f32], f64)> = updates.iter().map(|p| (p.as_slice(), 1.0)).collect();
-        let mut first = vec![0.0f32; 16];
-        aggregate_clustered_into(&mut first, &refs, 3);
-        let mut second = vec![0.0f32; 16];
-        aggregate_clustered_into(&mut second, &refs, 3);
-        let fb: Vec<u32> = first.iter().map(|x| x.to_bits()).collect();
-        let sb: Vec<u32> = second.iter().map(|x| x.to_bits()).collect();
-        assert_eq!(fb, sb);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one cluster")]
-    fn zero_clusters_rejected() {
-        let a = vec![1.0f32];
-        let mut out = vec![0.0f32];
-        aggregate_clustered_into(&mut out, &[(&a, 1.0)], 0);
     }
 
     #[test]

@@ -266,7 +266,6 @@ pub struct TrainingOracle {
     sigma: u32,
     batch_size: usize,
     learning_rate: f32,
-    clusters: usize,
     accuracy: f64,
     /// Persistent per-participant training replicas, grown on demand and
     /// re-seeded in place each round instead of deep-cloning the model.
@@ -315,13 +314,6 @@ impl TrainingOracle {
         let (train, test) = data.split(0.8);
         let shards = partition::split(&train, nodes, partition::Partition::Iid, seed ^ 0x5EED);
         let global_params = model.parameters_flat();
-        // CHIRON_FLEET_CLUSTERS sets the ambient default (1 = flat
-        // aggregation, bitwise-identical to the historical path);
-        // `set_clusters` overrides it per oracle.
-        let clusters = chiron_telemetry::RuntimeConfig::from_env()
-            .fleet_clusters
-            .filter(|&c| c > 0)
-            .unwrap_or(1);
         let mut oracle = Self {
             shards,
             test,
@@ -331,30 +323,12 @@ impl TrainingOracle {
             sigma,
             batch_size,
             learning_rate,
-            clusters,
             accuracy: 0.0,
             replica_pool: Vec::new(),
             eval_memo: None,
         };
         oracle.accuracy = oracle.evaluate();
         oracle
-    }
-
-    /// Routes aggregation through `clusters` edge clusters (two-level
-    /// FedAvg, see [`crate::fedavg::aggregate_clustered_into`]). The
-    /// default of 1 keeps the paper's flat aggregation, bitwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `clusters` is zero.
-    pub fn set_clusters(&mut self, clusters: usize) {
-        assert!(clusters > 0, "need at least one cluster");
-        self.clusters = clusters;
-    }
-
-    /// The configured edge-cluster count (1 = flat aggregation).
-    pub fn clusters(&self) -> usize {
-        self.clusters
     }
 
     /// Shard sizes in samples (the `D_i`).
@@ -503,7 +477,7 @@ impl AccuracyOracle for TrainingOracle {
             .zip(ctx.weights)
             .map(|(p, &w)| (p.as_slice(), w))
             .collect();
-        crate::fedavg::aggregate_clustered_into(&mut self.global_params, &refs, self.clusters);
+        crate::fedavg::aggregate_into(&mut self.global_params, &refs);
         self.accuracy = self.evaluate();
         self.accuracy
     }

@@ -1,11 +1,10 @@
-//! Daemon configuration, with `CHIRON_SERVE_*` environment defaults.
+//! Daemon configuration.
 
-use chiron_telemetry::RuntimeConfig;
 use std::path::PathBuf;
 
 /// Everything the daemon and supervisor need to know, with conservative
-/// defaults. Build one with [`ServeConfig::default`] or
-/// [`ServeConfig::from_runtime`] and override fields directly.
+/// defaults. Build one with [`ServeConfig::default`] and override fields
+/// directly (`chiron-cli serve` sets them from its flags).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address; port 0 picks an ephemeral port (the bound address is
@@ -53,43 +52,6 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// Defaults overridden by whatever `CHIRON_SERVE_*` variables the
-    /// ambient [`RuntimeConfig`] carries. Zero values for counts are
-    /// clamped to 1 (a daemon with no workers or no queue is useless).
-    #[must_use]
-    pub fn from_runtime(rt: &RuntimeConfig) -> Self {
-        let mut cfg = Self::default();
-        if let Some(addr) = &rt.serve_addr {
-            cfg.addr = addr.clone();
-        }
-        if let Some(workers) = rt.serve_workers {
-            cfg.workers = workers.max(1);
-        }
-        cfg.max_inflight = cfg.workers;
-        if let Some(cap) = rt.serve_queue_cap {
-            cfg.queue_cap = cap.max(1);
-        }
-        if let Some(inflight) = rt.serve_inflight {
-            cfg.max_inflight = inflight.max(1);
-        }
-        if let Some(retries) = rt.serve_retry_max {
-            cfg.retry_max = retries;
-        }
-        if let Some(ms) = rt.serve_backoff_ms {
-            cfg.backoff_base_ms = ms.max(1);
-        }
-        if let Some(every) = rt.serve_ckpt_every {
-            cfg.checkpoint_every = every.max(1);
-        }
-        if let Some(ms) = rt.serve_deadline_ms {
-            cfg.default_deadline_ms = Some(ms);
-        }
-        if let Some(dir) = &rt.serve_state_dir {
-            cfg.state_dir = PathBuf::from(dir);
-        }
-        cfg
-    }
-
     /// Backoff before retry attempt `attempt` (1-based) of job `id`:
     /// exponential in the attempt with a deterministic jitter derived from
     /// `(seed, id, attempt)` — reproducible, yet decorrelated across jobs
@@ -136,21 +98,5 @@ mod tests {
         }
         // Exponential growth until the cap dominates.
         assert!(cfg.backoff_ms(7, 1, 2) >= 200);
-    }
-
-    #[test]
-    fn runtime_overrides_apply_and_clamp() {
-        std::env::set_var("CHIRON_SERVE_WORKERS", "0");
-        std::env::set_var("CHIRON_SERVE_QUEUE_CAP", "7");
-        std::env::set_var("CHIRON_SERVE_BACKOFF_MS", "250");
-        let rt = RuntimeConfig::from_env();
-        std::env::remove_var("CHIRON_SERVE_WORKERS");
-        std::env::remove_var("CHIRON_SERVE_QUEUE_CAP");
-        std::env::remove_var("CHIRON_SERVE_BACKOFF_MS");
-        let cfg = ServeConfig::from_runtime(&rt);
-        assert_eq!(cfg.workers, 1, "zero workers clamps to 1");
-        assert_eq!(cfg.queue_cap, 7);
-        assert_eq!(cfg.backoff_base_ms, 250);
-        assert_eq!(cfg.max_inflight, cfg.workers);
     }
 }

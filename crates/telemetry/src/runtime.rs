@@ -5,6 +5,8 @@
 //! struct that is passed down (CLI) or cached (`global()`, for process-wide
 //! singletons like the worker pool). Consumers keep their own defaulting
 //! and clamping so behaviour is identical to the historical per-site reads.
+//! Settings that a `chiron-cli` flag already covers (telemetry path, serve
+//! daemon shape) have no variable.
 //!
 //! | Variable | Type | Consumer | Meaning |
 //! |---|---|---|---|
@@ -14,43 +16,28 @@
 //! | `CHIRON_DEADLINE_SLACK` | f64 ≥ 1 | fedsim | Lemma-1 deadline multiplier (default off) |
 //! | `CHIRON_FAULT_SEED` | u64 | CLI | installs the standard fault process with this seed |
 //! | `CHIRON_FLEET_SAMPLE` | usize | CLI/fedsim | nodes priced per round (0/unset = full participation) |
-//! | `CHIRON_FLEET_CLUSTERS` | usize ≥ 1 | CLI/fedsim | edge clusters for two-level aggregation (default 1) |
-//! | `CHIRON_TELEMETRY` | path | CLI | JSONL telemetry output (same as `--telemetry`) |
-//! | `CHIRON_SERVE_ADDR` | addr | serve | daemon bind address (default `127.0.0.1:0` = ephemeral port) |
-//! | `CHIRON_SERVE_WORKERS` | usize ≥ 1 | serve | supervised job-runner threads (default 2) |
-//! | `CHIRON_SERVE_QUEUE_CAP` | usize ≥ 1 | serve | admission bound on queued jobs; beyond it submissions are shed with a typed `Overloaded` (default 64) |
-//! | `CHIRON_SERVE_INFLIGHT` | usize ≥ 1 | serve | concurrently running job bound (default = workers) |
-//! | `CHIRON_SERVE_RETRY_MAX` | usize | serve | retries per job after transient failures (default 3) |
-//! | `CHIRON_SERVE_BACKOFF_MS` | u64 ≥ 1 | serve | base retry backoff; doubles per attempt with deterministic jitter (default 100) |
-//! | `CHIRON_SERVE_CKPT_EVERY` | usize ≥ 1 | serve | episodes between job checkpoints / supervision boundaries (default 5) |
-//! | `CHIRON_SERVE_DEADLINE_MS` | u64 | serve | default per-job deadline (unset = none) |
-//! | `CHIRON_SERVE_STATE_DIR` | path | serve | job checkpoint directory (default: under the OS temp dir) |
-//! | `CHIRON_EPISODES` | usize | bench | episode count override for bench binaries |
-//! | `CHIRON_SEEDS` | usize ≥ 1 | bench | replication count for bench panels |
-//! | `CHIRON_BENCH_SAMPLES` | usize ≥ 1 | bench | timing samples per case (default 20) |
-//! | `CHIRON_BENCH_LABEL` | string | bench | label stored in `BENCH_*.json` (default "current") |
-//! | `CHIRON_BENCH_OUT` | path | bench | output directory for bench artifacts |
-//! | `CHIRON_TOURNAMENT_EPISODES` | usize ≥ 1 | bench | training episodes per tournament cell (default 40) |
-//! | `CHIRON_TOURNAMENT_SEEDS` | usize ≥ 1 | bench | replications per tournament cell (default 3) |
+//! | `CHIRON_EPISODES` | usize ≥ 1 | bench | training episodes for bench binaries and tournament cells (0/unset = each binary's default) |
+//! | `CHIRON_SEEDS` | usize ≥ 1 | bench | replications for bench panels and tournament cells (0/unset = each binary's default) |
+//! | `CHIRON_BENCH_OUT` | path | bench | output directory for `BENCH_tournament.{json,md}` (default: repo root) |
 //! | `CHIRON_TOURNAMENT_MECHS` | id list | bench | comma-separated mechanism ids for the tournament grid (default: every registry entry) |
 
 use std::sync::OnceLock;
 
-fn parse_var<T: std::str::FromStr>(name: &str) -> Option<T> {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse::<T>().ok())
+fn parse<T: std::str::FromStr>(raw: Option<String>) -> Option<T> {
+    raw.and_then(|v| v.trim().parse::<T>().ok())
 }
 
 /// Accepts `0`/`1` alongside `true`/`false` (case-insensitive).
-fn parse_bool_var(name: &str) -> Option<bool> {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| match v.trim().to_ascii_lowercase().as_str() {
-            "0" | "false" => Some(false),
-            "1" | "true" => Some(true),
-            _ => None,
-        })
+fn parse_bool(raw: Option<String>) -> Option<bool> {
+    raw.and_then(|v| match v.trim().to_ascii_lowercase().as_str() {
+        "0" | "false" => Some(false),
+        "1" | "true" => Some(true),
+        _ => None,
+    })
+}
+
+fn non_empty(raw: Option<String>) -> Option<String> {
+    raw.filter(|s| !s.is_empty())
 }
 
 /// All `CHIRON_*` environment knobs, parsed once.
@@ -76,43 +63,12 @@ pub struct RuntimeConfig {
     /// `CHIRON_FLEET_SAMPLE`: nodes priced per round (sampled
     /// participation; 0/unset = full participation).
     pub fleet_sample: Option<usize>,
-    /// `CHIRON_FLEET_CLUSTERS`: edge-cluster count for two-level
-    /// aggregation in the training oracle (default 1 = flat).
-    pub fleet_clusters: Option<usize>,
-    /// `CHIRON_TELEMETRY`: JSONL telemetry output path.
-    pub telemetry: Option<String>,
-    /// `CHIRON_SERVE_ADDR`: serve daemon bind address.
-    pub serve_addr: Option<String>,
-    /// `CHIRON_SERVE_WORKERS`: supervised job-runner thread count.
-    pub serve_workers: Option<usize>,
-    /// `CHIRON_SERVE_QUEUE_CAP`: admission bound on queued jobs.
-    pub serve_queue_cap: Option<usize>,
-    /// `CHIRON_SERVE_INFLIGHT`: concurrently running job bound.
-    pub serve_inflight: Option<usize>,
-    /// `CHIRON_SERVE_RETRY_MAX`: retry budget for transiently failed jobs.
-    pub serve_retry_max: Option<usize>,
-    /// `CHIRON_SERVE_BACKOFF_MS`: base retry backoff in milliseconds.
-    pub serve_backoff_ms: Option<u64>,
-    /// `CHIRON_SERVE_CKPT_EVERY`: episodes between job checkpoints.
-    pub serve_ckpt_every: Option<usize>,
-    /// `CHIRON_SERVE_DEADLINE_MS`: default per-job deadline.
-    pub serve_deadline_ms: Option<u64>,
-    /// `CHIRON_SERVE_STATE_DIR`: job checkpoint directory.
-    pub serve_state_dir: Option<String>,
-    /// `CHIRON_EPISODES`: bench episode-count override.
+    /// `CHIRON_EPISODES`: bench and tournament episode count.
     pub episodes: Option<usize>,
-    /// `CHIRON_SEEDS`: bench replication count.
+    /// `CHIRON_SEEDS`: bench and tournament replication count.
     pub seeds: Option<usize>,
-    /// `CHIRON_BENCH_SAMPLES`: timing samples per bench case.
-    pub bench_samples: Option<usize>,
-    /// `CHIRON_BENCH_LABEL`: label recorded in bench output files.
-    pub bench_label: Option<String>,
     /// `CHIRON_BENCH_OUT`: bench output directory.
     pub bench_out: Option<String>,
-    /// `CHIRON_TOURNAMENT_EPISODES`: training episodes per tournament cell.
-    pub tournament_episodes: Option<usize>,
-    /// `CHIRON_TOURNAMENT_SEEDS`: replications per tournament cell.
-    pub tournament_seeds: Option<usize>,
     /// `CHIRON_TOURNAMENT_MECHS`: comma-separated mechanism ids for the
     /// tournament grid (unset = every registry entry).
     pub tournament_mechs: Option<String>,
@@ -122,56 +78,36 @@ impl RuntimeConfig {
     /// Reads every `CHIRON_*` variable from the current environment.
     ///
     /// This is a fresh read each call; entry points (CLI `main`, bench
-    /// binaries) call it once and pass the result down. Tests that mutate
-    /// the environment re-read to observe their changes.
+    /// binaries) call it once and pass the result down.
     #[must_use]
     pub fn from_env() -> Self {
+        Self::from_lookup(|name| std::env::var(name).ok())
+    }
+
+    /// Parses every knob from `lookup`, which maps a variable name to its
+    /// raw value (`None` = unset). [`RuntimeConfig::from_env`] passes the
+    /// process environment; tests pass a closure, so they never have to
+    /// mutate the environment that sibling test threads read.
+    #[must_use]
+    pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Self {
         Self {
-            threads: parse_var("CHIRON_THREADS"),
-            simd: parse_bool_var("CHIRON_SIMD"),
-            quorum: parse_var("CHIRON_QUORUM"),
-            deadline_slack: parse_var("CHIRON_DEADLINE_SLACK"),
-            fault_seed: parse_var("CHIRON_FAULT_SEED"),
-            fleet_sample: parse_var("CHIRON_FLEET_SAMPLE"),
-            fleet_clusters: parse_var("CHIRON_FLEET_CLUSTERS"),
-            telemetry: std::env::var("CHIRON_TELEMETRY")
-                .ok()
-                .filter(|s| !s.is_empty()),
-            serve_addr: std::env::var("CHIRON_SERVE_ADDR")
-                .ok()
-                .filter(|s| !s.is_empty()),
-            serve_workers: parse_var("CHIRON_SERVE_WORKERS"),
-            serve_queue_cap: parse_var("CHIRON_SERVE_QUEUE_CAP"),
-            serve_inflight: parse_var("CHIRON_SERVE_INFLIGHT"),
-            serve_retry_max: parse_var("CHIRON_SERVE_RETRY_MAX"),
-            serve_backoff_ms: parse_var("CHIRON_SERVE_BACKOFF_MS"),
-            serve_ckpt_every: parse_var("CHIRON_SERVE_CKPT_EVERY"),
-            serve_deadline_ms: parse_var("CHIRON_SERVE_DEADLINE_MS"),
-            serve_state_dir: std::env::var("CHIRON_SERVE_STATE_DIR")
-                .ok()
-                .filter(|s| !s.is_empty()),
-            episodes: parse_var("CHIRON_EPISODES"),
-            seeds: parse_var("CHIRON_SEEDS"),
-            bench_samples: parse_var("CHIRON_BENCH_SAMPLES"),
-            bench_label: std::env::var("CHIRON_BENCH_LABEL")
-                .ok()
-                .filter(|s| !s.is_empty()),
-            bench_out: std::env::var("CHIRON_BENCH_OUT")
-                .ok()
-                .filter(|s| !s.is_empty()),
-            tournament_episodes: parse_var("CHIRON_TOURNAMENT_EPISODES"),
-            tournament_seeds: parse_var("CHIRON_TOURNAMENT_SEEDS"),
-            tournament_mechs: std::env::var("CHIRON_TOURNAMENT_MECHS")
-                .ok()
-                .filter(|s| !s.is_empty()),
+            threads: parse(lookup("CHIRON_THREADS")),
+            simd: parse_bool(lookup("CHIRON_SIMD")),
+            quorum: parse(lookup("CHIRON_QUORUM")),
+            deadline_slack: parse(lookup("CHIRON_DEADLINE_SLACK")),
+            fault_seed: parse(lookup("CHIRON_FAULT_SEED")),
+            fleet_sample: parse(lookup("CHIRON_FLEET_SAMPLE")),
+            episodes: parse(lookup("CHIRON_EPISODES")),
+            seeds: parse(lookup("CHIRON_SEEDS")),
+            bench_out: non_empty(lookup("CHIRON_BENCH_OUT")),
+            tournament_mechs: non_empty(lookup("CHIRON_TOURNAMENT_MECHS")),
         }
     }
 
     /// Process-wide snapshot, read from the environment on first use.
     ///
     /// For singletons whose configuration is fixed for the process lifetime
-    /// (worker pool size, SIMD tier). Code that must observe later
-    /// `set_var` calls (tests) should use [`RuntimeConfig::from_env`].
+    /// (worker pool size, SIMD tier).
     #[must_use]
     pub fn global() -> &'static RuntimeConfig {
         static GLOBAL: OnceLock<RuntimeConfig> = OnceLock::new();
@@ -182,17 +118,61 @@ impl RuntimeConfig {
 #[cfg(test)]
 mod tests {
     use super::RuntimeConfig;
+    use std::cell::RefCell;
+    use std::collections::BTreeSet;
 
     #[test]
-    fn malformed_values_parse_to_none() {
-        // Use a throwaway variable namespace by setting and clearing within
-        // the test; RuntimeConfig::from_env reads live state.
-        std::env::set_var("CHIRON_SEEDS", "not-a-number");
-        std::env::set_var("CHIRON_QUORUM", " 3 ");
-        let cfg = RuntimeConfig::from_env();
+    fn malformed_values_parse_to_none_and_whitespace_is_trimmed() {
+        let vars = [
+            ("CHIRON_SEEDS", "not-a-number"),
+            ("CHIRON_QUORUM", " 3 "),
+            ("CHIRON_FAULT_SEED", "-1"),
+            ("CHIRON_DEADLINE_SLACK", "\t1.5\n"),
+            ("CHIRON_SIMD", " FALSE "),
+            ("CHIRON_THREADS", ""),
+            ("CHIRON_BENCH_OUT", ""),
+            ("CHIRON_TOURNAMENT_MECHS", "static,fmore"),
+        ];
+        let cfg = RuntimeConfig::from_lookup(|name| {
+            vars.iter()
+                .find(|(k, _)| *k == name)
+                .map(|(_, v)| (*v).to_owned())
+        });
         assert_eq!(cfg.seeds, None);
         assert_eq!(cfg.quorum, Some(3));
-        std::env::remove_var("CHIRON_SEEDS");
-        std::env::remove_var("CHIRON_QUORUM");
+        assert_eq!(cfg.fault_seed, None, "a u64 knob rejects negatives");
+        assert_eq!(cfg.deadline_slack, Some(1.5));
+        assert_eq!(cfg.simd, Some(false));
+        assert_eq!(cfg.threads, None);
+        assert_eq!(cfg.bench_out, None, "an empty path means unset");
+        assert_eq!(cfg.tournament_mechs.as_deref(), Some("static,fmore"));
+        assert_eq!(cfg.episodes, None, "unset stays unset");
+    }
+
+    /// The variable names in a markdown table whose rows start with
+    /// `prefix` followed by a backticked `CHIRON_*` name.
+    fn table_names(text: &str, prefix: &str) -> BTreeSet<String> {
+        text.lines()
+            .filter_map(|line| line.strip_prefix(prefix))
+            .filter_map(|rest| rest.strip_prefix('`'))
+            .filter_map(|rest| rest.split('`').next())
+            .filter(|name| name.starts_with("CHIRON_"))
+            .map(str::to_owned)
+            .collect()
+    }
+
+    #[test]
+    fn module_table_and_readme_table_list_the_parsed_variables() {
+        let read = RefCell::new(BTreeSet::new());
+        let _ = RuntimeConfig::from_lookup(|name| {
+            read.borrow_mut().insert(name.to_owned());
+            None
+        });
+        let read = read.into_inner();
+        let module = table_names(include_str!("runtime.rs"), "//! | ");
+        let readme = table_names(include_str!("../../../README.md"), "| ");
+        assert_eq!(module, read, "runtime.rs module table vs from_lookup");
+        assert_eq!(readme, read, "README env table vs from_lookup");
+        assert_eq!(read.len(), 10);
     }
 }

@@ -224,53 +224,6 @@ fn sampled_fleet_episode_is_bitwise_identical_across_thread_counts() {
     }
 }
 
-/// Three federated rounds through the two-level (clustered) aggregation
-/// path: per-cluster partial sums fan out across the pool, and the
-/// cluster-order join must make the global weights independent of the
-/// thread count.
-fn clustered_federated_rounds() -> (Vec<u32>, u64) {
-    let spec = DatasetSpec::tiny();
-    let mut rng = TensorRng::seed_from(6);
-    let mut net = Sequential::new();
-    net.push(models::Flatten::new());
-    net.push(Linear::new(spec.pixels(), 24, &mut rng));
-    net.push(Relu::new());
-    net.push(Linear::new(24, spec.classes, &mut rng));
-    let mut oracle = TrainingOracle::new(&spec, net, 8, 640, 2, 16, 0.05, 9);
-    oracle.set_clusters(3);
-    let participants: Vec<usize> = (0..8).collect();
-    let weights = vec![1.0 / 8.0; 8];
-    for round in 1..=3 {
-        oracle.execute_round(&RoundContext {
-            round,
-            participants: &participants,
-            weights: &weights,
-        });
-    }
-    let bits = oracle
-        .global_parameters()
-        .iter()
-        .map(|p| p.to_bits())
-        .collect();
-    (bits, oracle.accuracy().to_bits())
-}
-
-#[test]
-fn clustered_aggregation_is_bitwise_identical_across_thread_counts() {
-    let _sweep = common::pool_sweep();
-    pool::set_threads(1);
-    let (base_params, base_acc) = clustered_federated_rounds();
-    for threads in [4usize, 8] {
-        pool::set_threads(threads);
-        let (params, acc) = clustered_federated_rounds();
-        assert_eq!(
-            base_params, params,
-            "clustered weights at {threads} threads"
-        );
-        assert_eq!(base_acc, acc, "clustered accuracy at {threads} threads");
-    }
-}
-
 /// A figure-sweep grid (`run_budget_panel`) must produce bitwise-identical
 /// cells whether named regions fan the mechanism trainings and budget
 /// cells out across the pool or, with one thread, everything runs on the
