@@ -28,8 +28,11 @@ done
 echo "==> kernel + determinism suites on the pinned scalar tier"
 # CHIRON_SIMD=0 pins the scalar dispatch tier; the default run above uses
 # the best detected one (AVX2/NEON). Both must be bitwise-identical —
-# tests/simd.rs compares against the pinned scalar reference explicitly.
-CHIRON_SIMD=0 cargo test -q --release --offline --test simd --test parallel_determinism
+# tests/simd.rs compares against the pinned scalar reference explicitly,
+# and tests/cnn_bits.rs pins the CNNs' output bits to the same constants
+# on every tier.
+CHIRON_SIMD=0 cargo test -q --release --offline --test simd --test parallel_determinism \
+    --test cnn_bits
 CHIRON_SIMD=0 cargo test -q --release --offline -p chiron-tensor kernel
 
 echo "==> tournament smoke: bitwise-identical leaderboard at 1/4/8 threads"

@@ -3,12 +3,14 @@
 use crate::Layer;
 use chiron_tensor::Tensor;
 
+/// Each activation caches only its output: every derivative here is a
+/// function of `y = f(x)` alone, so backward computes `g · f'(y)` in one
+/// pass, with the same operations per element as building `f'` first.
 macro_rules! activation {
-    ($(#[$doc:meta])* $name:ident, $fwd:expr, $grad_from_in_out:expr) => {
+    ($(#[$doc:meta])* $name:ident, $fwd:expr, $grad_from_out:expr) => {
         $(#[$doc])*
         #[derive(Clone, Default)]
         pub struct $name {
-            input: Option<Tensor>,
             output: Option<Tensor>,
         }
 
@@ -22,19 +24,16 @@ macro_rules! activation {
         impl Layer for $name {
             fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
                 let out = input.map($fwd);
-                self.input = Some(input.clone());
                 self.output = Some(out.clone());
                 out
             }
 
             fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-                let input = self
-                    .input
+                let output = self
+                    .output
                     .as_ref()
                     .expect(concat!(stringify!($name), "::backward called before forward"));
-                let output = self.output.as_ref().expect("output cached with input");
-                let d = input.zip(output, $grad_from_in_out);
-                grad_output.hadamard(&d)
+                grad_output.zip(output, |g, y| g * ($grad_from_out)(y))
             }
 
             fn forward_chunks(
@@ -47,7 +46,7 @@ macro_rules! activation {
                 if fused != crate::FusedActivation::None {
                     return None;
                 }
-                // Inference chunks skip the input/output backward caches.
+                // Inference chunks skip the backward cache.
                 Some(inputs.iter().map(|x| x.map($fwd)).collect())
             }
 
@@ -66,21 +65,22 @@ activation!(
     /// Rectified linear unit: `max(0, x)`. Used by the paper's CNNs.
     Relu,
     |x| x.max(0.0),
-    |x, _y| if x > 0.0 { 1.0 } else { 0.0 }
+    // `y > 0` exactly when `x > 0`: `max` maps NaN and ±0 to 0.
+    |y| if y > 0.0 { 1.0 } else { 0.0 }
 );
 
 activation!(
     /// Hyperbolic tangent. Used by the PPO actor/critic MLPs.
     Tanh,
     |x| x.tanh(),
-    |_x, y| 1.0 - y * y
+    |y| 1.0 - y * y
 );
 
 activation!(
     /// Logistic sigmoid: `1 / (1 + e^{-x})`.
     Sigmoid,
     |x| 1.0 / (1.0 + (-x).exp()),
-    |_x, y| y * (1.0 - y)
+    |y| y * (1.0 - y)
 );
 
 #[cfg(test)]

@@ -85,18 +85,11 @@ impl Conv2d {
         let p = self.geo.out_positions();
         let c_out = self.out_channels;
         let mut out = scratch::take_vec(batch * c_out * p);
-        // Per-image (P, C_out) → (C_out, P) transpose as zipped iterators:
-        // a pure permutation copy (bitwise identical to element-indexed
-        // assignment) with the bounds checks hoisted out of the inner loop.
         for (src_img, out_img) in src
             .chunks_exact(p * c_out)
             .zip(out.chunks_exact_mut(c_out * p))
         {
-            for (ch, dst) in out_img.chunks_exact_mut(p).enumerate() {
-                for (d, s) in dst.iter_mut().zip(src_img[ch..].iter().step_by(c_out)) {
-                    *d = *s;
-                }
-            }
+            transpose_into(src_img, p, c_out, out_img);
         }
         Tensor::from_vec(out, &[batch, c_out, self.geo.out_h, self.geo.out_w])
     }
@@ -106,11 +99,10 @@ impl Conv2d {
     /// gradient transpose (a scratch buffer the caller recycles, or feeds
     /// to the `dcols` product first).
     ///
-    /// The `BatchCol` view the products used to consume avoids this copy
-    /// but makes the blocked kernel pack through a per-element div/mod
-    /// address computation; materializing the transpose once is a pure
-    /// permutation copy (numerically invisible) after which both products
-    /// run on plain row-major views and the fast packing paths.
+    /// Materializing the transpose once is a pure permutation copy
+    /// (numerically invisible), after which both products run on plain
+    /// row-major views and the fixed-width packing paths; a strided view
+    /// of the NCHW gradient would pack through a div/mod per element.
     fn accumulate_param_grads(&mut self, grad_output: &Tensor) -> Vec<f32> {
         let cols = self
             .cols
@@ -130,11 +122,7 @@ impl Conv2d {
             .chunks_exact(c_out * p)
             .zip(dyt.chunks_exact_mut(p * c_out))
         {
-            for (ch, src) in g_img.chunks_exact(p).enumerate() {
-                for (s, d) in src.iter().zip(dyt_img[ch..].iter_mut().step_by(c_out)) {
-                    *d = *s;
-                }
-            }
+            transpose_into(g_img, c_out, p, dyt_img);
         }
         let fan = self.in_channels * self.geo.k_h * self.geo.k_w;
 
@@ -145,21 +133,44 @@ impl Conv2d {
         );
         self.grad_weight.axpy(1.0, &dw);
 
-        // dBias: per-channel sum of the gradient, read directly from NCHW
-        // in (img, pos)-ascending order — the order `sum_rows` uses on the
-        // (N·P, C_out) layout.
-        let gb = self.grad_bias.as_mut_slice();
-        for (ch, gbc) in gb.iter_mut().enumerate() {
-            let mut acc = 0.0f32;
-            for img in 0..self.batch {
-                let plane = &g[(img * c_out + ch) * p..][..p];
-                for &v in plane {
-                    acc += v;
-                }
+        // dBias: per-channel sum of the gradient over the `(N·P, C_out)`
+        // copy, all channels advancing together one row at a time, so each
+        // channel still folds its terms in (img, pos)-ascending order from
+        // zero — the order `sum_rows` uses on that layout.
+        let mut acc = scratch::ScratchBuf::zeroed(c_out);
+        for row in dyt.chunks_exact(c_out) {
+            for (a, &v) in acc.iter_mut().zip(row) {
+                *a += v;
             }
-            *gbc += acc;
+        }
+        for (gb, &a) in self.grad_bias.as_mut_slice().iter_mut().zip(acc.iter()) {
+            *gb += a;
         }
         dyt
+    }
+}
+
+/// Source rows per band of [`transpose_into`].
+const BAND: usize = 8;
+
+/// Writes the transpose of the row-major `rows × cols` matrix `src` into
+/// `dst` (row-major `cols × rows`), a pure permutation copy. It walks `src`
+/// in bands of [`BAND`] rows, which stay in L1: each column of a band is
+/// gathered into a fixed-size array and stored as one `BAND`-wide run.
+/// Rows past the last full band copy element by element.
+fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
+    let full = rows - rows % BAND;
+    for r0 in (0..full).step_by(BAND) {
+        let band = &src[r0 * cols..(r0 + BAND) * cols];
+        for c in 0..cols {
+            let run: [f32; BAND] = std::array::from_fn(|i| band[i * cols + c]);
+            dst[c * rows + r0..][..BAND].copy_from_slice(&run);
+        }
+    }
+    for r in full..rows {
+        for c in 0..cols {
+            dst[c * rows + r] = src[r * cols + c];
+        }
     }
 }
 

@@ -262,7 +262,7 @@ mod tests {
         let mut net = Sequential::new();
         net.push(Conv2d::new(1, 3, 3, 1, 0, 6, 6, &mut rng));
         net.push(Relu::new());
-        net.push(MaxPool2d::new(2, 4, 4));
+        net.push(MaxPool2d::new(4, 4));
         net.push(crate::models::Flatten::new());
         net.push(Linear::new(12, 2, &mut rng));
         check_net(net, &[1, 1, 6, 6], 3e-2, 3);

@@ -35,10 +35,10 @@ pub fn mnist_cnn(rng: &mut TensorRng) -> Sequential {
     let mut net = Sequential::new();
     net.push(Conv2d::new(1, 10, 5, 1, 0, 28, 28, rng)); // → (10, 24, 24)
     net.push(Relu::new());
-    net.push(MaxPool2d::new(2, 24, 24)); // → (10, 12, 12)
+    net.push(MaxPool2d::new(24, 24)); // → (10, 12, 12)
     net.push(Conv2d::new(10, 20, 5, 1, 0, 12, 12, rng)); // → (20, 8, 8)
     net.push(Relu::new());
-    net.push(MaxPool2d::new(2, 8, 8)); // → (20, 4, 4)
+    net.push(MaxPool2d::new(8, 8)); // → (20, 4, 4)
     net.push(Flatten::new());
     net.push(Linear::new(320, 50, rng));
     net.push(Relu::new());
@@ -63,10 +63,10 @@ pub fn cifar_lenet(rng: &mut TensorRng) -> Sequential {
     let mut net = Sequential::new();
     net.push(Conv2d::new(3, 6, 5, 1, 0, 32, 32, rng)); // → (6, 28, 28)
     net.push(Relu::new());
-    net.push(MaxPool2d::new(2, 28, 28)); // → (6, 14, 14)
+    net.push(MaxPool2d::new(28, 28)); // → (6, 14, 14)
     net.push(Conv2d::new(6, 16, 5, 1, 0, 14, 14, rng)); // → (16, 10, 10)
     net.push(Relu::new());
-    net.push(MaxPool2d::new(2, 10, 10)); // → (16, 5, 5)
+    net.push(MaxPool2d::new(10, 10)); // → (16, 5, 5)
     net.push(Flatten::new());
     net.push(Linear::new(400, 120, rng));
     net.push(Relu::new());

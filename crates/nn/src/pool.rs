@@ -3,11 +3,12 @@
 use crate::Layer;
 use chiron_tensor::{scratch, Conv2dGeometry, Tensor};
 
-/// Non-overlapping 2-D max pooling over `(N, C, H, W)` batches.
+/// Non-overlapping 2×2 max pooling over `(N, C, H, W)` batches.
 ///
-/// The paper's CNNs use 2×2 pooling after each convolution. The layer
-/// records each window's argmax during `forward` and routes the incoming
-/// gradient to exactly that element during `backward`.
+/// The paper's CNNs use 2×2 pooling after each convolution, and that is the
+/// only window this layer implements. It records each window's argmax
+/// during `forward` and routes the incoming gradient to exactly that
+/// element during `backward`.
 ///
 /// # Examples
 ///
@@ -15,34 +16,32 @@ use chiron_tensor::{scratch, Conv2dGeometry, Tensor};
 /// use chiron_nn::{Layer, MaxPool2d};
 /// use chiron_tensor::Tensor;
 ///
-/// let mut pool = MaxPool2d::new(2, 24, 24);
+/// let mut pool = MaxPool2d::new(24, 24);
 /// let y = pool.forward(&Tensor::ones(&[1, 10, 24, 24]), true);
 /// assert_eq!(y.dims(), &[1, 10, 12, 12]);
 /// ```
 #[derive(Clone)]
 pub struct MaxPool2d {
-    window: usize,
     geo: Conv2dGeometry,
     argmax: Vec<usize>,
     input_dims: Vec<usize>,
 }
 
 impl MaxPool2d {
-    /// Creates a pooling layer with a square window and equal stride over a
-    /// fixed `(in_h, in_w)` geometry.
+    /// Creates a 2×2, stride-2 pooling layer over a fixed `(in_h, in_w)`
+    /// geometry.
     ///
     /// # Panics
     ///
     /// Panics if the window does not evenly tile the input (the only mode
     /// the paper's networks need).
-    pub fn new(window: usize, in_h: usize, in_w: usize) -> Self {
+    pub fn new(in_h: usize, in_w: usize) -> Self {
         assert!(
-            in_h.is_multiple_of(window) && in_w.is_multiple_of(window),
-            "MaxPool2d: window {window} must tile input {in_h}x{in_w}"
+            in_h.is_multiple_of(2) && in_w.is_multiple_of(2),
+            "MaxPool2d: 2x2 window must tile input {in_h}x{in_w}"
         );
         Self {
-            window,
-            geo: Conv2dGeometry::new(in_h, in_w, window, window, window, 0),
+            geo: Conv2dGeometry::new(in_h, in_w, 2, 2, 2, 0),
             argmax: Vec::new(),
             input_dims: Vec::new(),
         }
@@ -67,53 +66,40 @@ impl Layer for MaxPool2d {
         let (oh, ow) = (self.geo.out_h, self.geo.out_w);
         let x = input.as_slice();
         let len = n * c * oh * ow;
-        let mut out = scratch::take_vec_with_capacity(len);
-        out.resize(len, f32::NEG_INFINITY);
-        // Reuse the argmax buffer across steps; same-shape forwards are
-        // allocation-free once it has grown to size. Every slot is written
-        // unconditionally below, so the old contents never need clearing.
-        if self.argmax.len() != len {
-            self.argmax.clear();
-            self.argmax.resize(len, 0);
-        }
-        let win = self.window;
+        // Every output and argmax slot is written below, so neither buffer
+        // needs clearing; the argmax buffer is reused across same-shape steps.
+        let mut out = scratch::take_vec(len);
+        self.argmax.resize(len, 0);
 
-        // Window reduction into a local `(best, best_idx)` pair in the same
-        // `ky`-then-`kx` ascending order (strict `>`, first-max wins) as a
-        // naive element-indexed scan, so results and routed argmax indices
-        // are bitwise/index identical; the locals and per-plane slices just
-        // drop the per-element bounds checks and `out[oidx]` re-reads.
-        for ((plane_idx, plane), (out_plane, arg_plane)) in x.chunks_exact(h * w).enumerate().zip(
-            out.chunks_exact_mut(oh * ow)
-                .zip(self.argmax.chunks_exact_mut(oh * ow)),
-        ) {
-            let plane_base = plane_idx * h * w;
-            for oy in 0..oh {
-                let out_row = &mut out_plane[oy * ow..(oy + 1) * ow];
-                let arg_row = &mut arg_plane[oy * ow..(oy + 1) * ow];
-                for (ox, (o, a)) in out_row.iter_mut().zip(arg_row.iter_mut()).enumerate() {
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_idx = 0usize;
-                    for ky in 0..win {
-                        let row0 = (oy * win + ky) * w + ox * win;
-                        let xs = &plane[row0..row0 + win];
-                        for (kx, &v) in xs.iter().enumerate() {
-                            // Select form of `if v > best { .. }` so the
-                            // data-dependent max update compiles to branchless
-                            // conditional moves; the strict `>` keeps the
-                            // first-max / NaN-skipping semantics unchanged.
-                            let take = v > best;
-                            best = if take { v } else { best };
-                            best_idx = if take {
-                                plane_base + row0 + kx
-                            } else {
-                                best_idx
-                            };
-                        }
-                    }
-                    *o = best;
-                    *a = best_idx;
+        // Each window scans its four elements top row first, left to right,
+        // from `(-inf, 0)` with a strict `>`: the first maximum wins, NaNs
+        // never win, and an all-NaN/-inf window keeps `(-inf, 0)`, routing
+        // its gradient to element 0 of the batch. The selects compile to
+        // conditional moves.
+        let out_rows = out
+            .chunks_exact_mut(ow)
+            .zip(self.argmax.chunks_exact_mut(ow));
+        for (row, (out_row, arg_row)) in out_rows.enumerate() {
+            let top = (row / oh * h + row % oh * 2) * w;
+            let pairs = x[top..top + w]
+                .chunks_exact(2)
+                .zip(x[top + w..top + 2 * w].chunks_exact(2));
+            for (ox, ((o, a), (t, b))) in out_row
+                .iter_mut()
+                .zip(arg_row.iter_mut())
+                .zip(pairs)
+                .enumerate()
+            {
+                let i = top + 2 * ox;
+                let mut best = f32::NEG_INFINITY;
+                let mut best_idx = 0usize;
+                for (v, idx) in [(t[0], i), (t[1], i + 1), (b[0], i + w), (b[1], i + w + 1)] {
+                    let take = v > best;
+                    best = if take { v } else { best };
+                    best_idx = if take { idx } else { best_idx };
                 }
+                *o = best;
+                *a = best_idx;
             }
         }
         if self.input_dims != dims {
@@ -155,7 +141,7 @@ mod tests {
 
     #[test]
     fn picks_window_maxima() {
-        let mut pool = MaxPool2d::new(2, 4, 4);
+        let mut pool = MaxPool2d::new(4, 4);
         #[rustfmt::skip]
         let x = Tensor::from_vec(vec![
             1.0, 2.0, 3.0, 4.0,
@@ -170,7 +156,7 @@ mod tests {
 
     #[test]
     fn backward_routes_to_argmax_only() {
-        let mut pool = MaxPool2d::new(2, 2, 2);
+        let mut pool = MaxPool2d::new(2, 2);
         let x = Tensor::from_vec(vec![1.0, 4.0, 2.0, 3.0], &[1, 1, 2, 2]);
         let _ = pool.forward(&x, true);
         let dx = pool.backward(&Tensor::from_vec(vec![10.0], &[1, 1, 1, 1]));
@@ -179,20 +165,38 @@ mod tests {
 
     #[test]
     fn multichannel_pooling_is_independent() {
-        let mut pool = MaxPool2d::new(2, 2, 2);
+        let mut pool = MaxPool2d::new(2, 2);
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 8.0, 7.0, 6.0, 5.0], &[1, 2, 2, 2]);
         let y = pool.forward(&x, true);
         assert_eq!(y.as_slice(), &[4.0, 8.0]);
     }
 
     #[test]
+    fn first_maximum_wins_and_nan_never_does() {
+        let mut pool = MaxPool2d::new(2, 4);
+        #[rustfmt::skip]
+        let x = Tensor::from_vec(vec![
+            f32::NAN, 3.0, f32::NAN, f32::NAN,
+            3.0,      1.0, f32::NAN, f32::NAN,
+        ], &[1, 1, 2, 4]);
+        let y = pool.forward(&x, true);
+        assert_eq!(y.as_slice()[0], 3.0);
+        assert_eq!(y.as_slice()[1], f32::NEG_INFINITY);
+        // The tie goes to the first 3.0 (index 1); the all-NaN window keeps
+        // index 0.
+        let dx = pool.backward(&Tensor::from_vec(vec![1.0, 2.0], &[1, 1, 1, 2]));
+        assert_eq!(&dx.as_slice()[..2], &[2.0, 1.0]);
+        assert!(dx.as_slice()[2..].iter().all(|&g| g == 0.0));
+    }
+
+    #[test]
     #[should_panic(expected = "must tile input")]
     fn rejects_non_tiling_window() {
-        let _ = MaxPool2d::new(2, 5, 5);
+        let _ = MaxPool2d::new(5, 5);
     }
 
     #[test]
     fn pool_has_no_params() {
-        assert_eq!(MaxPool2d::new(2, 4, 4).num_params(), 0);
+        assert_eq!(MaxPool2d::new(4, 4).num_params(), 0);
     }
 }

@@ -290,7 +290,7 @@ mod tests {
         let mut net = Sequential::new();
         net.push(Conv2d::new(1, 4, 3, 1, 0, 8, 8, &mut rng));
         net.push(Relu::new());
-        net.push(MaxPool2d::new(2, 6, 6));
+        net.push(MaxPool2d::new(6, 6));
         net.push(crate::models::Flatten::new());
         net.push(Linear::new(4 * 3 * 3, 10, &mut rng));
         net.push(Relu::new());
@@ -326,7 +326,7 @@ mod tests {
         let mut cnn = Sequential::new();
         cnn.push(Conv2d::new(1, 3, 3, 1, 0, 6, 6, &mut rng));
         cnn.push(Relu::new());
-        cnn.push(MaxPool2d::new(2, 4, 4));
+        cnn.push(MaxPool2d::new(4, 4));
         cnn.push(crate::models::Flatten::new());
         cnn.push(Linear::new(3 * 2 * 2, 4, &mut rng));
 

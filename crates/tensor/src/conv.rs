@@ -6,6 +6,12 @@
 //! the `(C·R·S, K)` filter matrix. `col2im` is the exact adjoint, scattering
 //! gradients back into image layout; together they make conv backprop a pair
 //! of matmuls.
+//!
+//! Both passes move each interior kernel row as one run of `k_w` floats.
+//! For the paper's 5-wide kernels ([`FIXED_KW`]) the run width is a
+//! compile-time constant, so a run is a few vector moves rather than a
+//! `memcpy` call; other widths run the same code at a runtime width. Only
+//! windows that overlap the zero padding take an element loop.
 
 use crate::{pool, scratch, Tensor};
 
@@ -18,104 +24,146 @@ const IM2COL_ROWS_PER_BLOCK: usize = 64;
 /// only — each element is produced by the same copy either way.
 const PARALLEL_ELEMS_THRESHOLD: usize = 1 << 16;
 
-/// Fills one unrolled receptive-field row (global row index `row`) of the
-/// im2col matrix. Shared by the serial and parallel paths, so both produce
-/// identical bytes.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn im2col_row(
+/// Kernel width whose runs are compiled at a fixed width: both paper CNNs
+/// use 5×5 kernels. The passes below take it as `KW`; `KW == 0` means the
+/// runtime width `geo.k_w`.
+const FIXED_KW: usize = 5;
+
+/// Emits, in order, every element of the `rows` unrolled rows starting at
+/// global row `row0`: an interior kernel row as one `k_w`-float run, a row
+/// that overlaps the padding element by element, padding as explicit
+/// zeros. The output position advances without a div/mod per row. Shared
+/// by the serial and parallel paths, so both produce identical bytes.
+fn im2col_rows<const KW: usize>(
     x: &[f32],
-    row: usize,
     c: usize,
-    h: usize,
-    w: usize,
     geo: &Conv2dGeometry,
-    dst: &mut [f32],
+    row0: usize,
+    rows: usize,
+    emit: &mut impl FnMut(&[f32]),
 ) {
+    let (h, w) = (geo.in_h, geo.in_w);
+    let k_w = if KW == 0 { geo.k_w } else { KW };
     let positions = geo.out_positions();
-    let img = row / positions;
-    let rem = row % positions;
-    let oy = rem / geo.out_w;
-    let ox = rem % geo.out_w;
-    let img_off = img * c * h * w;
-    let iy0 = (oy * geo.stride) as isize - geo.pad as isize;
-    let ix0 = (ox * geo.stride) as isize - geo.pad as isize;
-    let k_w = geo.k_w;
-    // Bounds depend only on (oy, ox, ky), so hoist them out of the
-    // per-element loop: an interior window (the only kind when pad = 0)
-    // copies each kernel row as one contiguous k_w-length slice. Padded
-    // positions stay at the buffer's zero fill, exactly as the
-    // element-at-a-time path left them.
-    let full_x = ix0 >= 0 && ix0 as usize + k_w <= w;
-    let mut idx = 0usize;
-    for ch in 0..c {
-        let ch_off = img_off + ch * h * w;
-        for ky in 0..geo.k_h {
-            let iy = iy0 + ky as isize;
-            if iy < 0 || (iy as usize) >= h {
-                idx += k_w;
-                continue;
-            }
-            let src_row = ch_off + iy as usize * w;
-            if full_x {
-                let s = src_row + ix0 as usize;
-                dst[idx..idx + k_w].copy_from_slice(&x[s..s + k_w]);
-                idx += k_w;
-            } else {
+    let (mut img, mut oy, mut ox) = (
+        row0 / positions,
+        row0 % positions / geo.out_w,
+        row0 % geo.out_w,
+    );
+    for _ in 0..rows {
+        let iy0 = (oy * geo.stride) as isize - geo.pad as isize;
+        let ix0 = (ox * geo.stride) as isize - geo.pad as isize;
+        let interior =
+            iy0 >= 0 && ix0 >= 0 && iy0 as usize + geo.k_h <= h && ix0 as usize + k_w <= w;
+        for ch in 0..c {
+            let plane = &x[(img * c + ch) * h * w..][..h * w];
+            for ky in 0..geo.k_h {
+                let iy = iy0 + ky as isize;
+                if interior {
+                    let s = iy as usize * w + ix0 as usize;
+                    emit(&plane[s..s + k_w]);
+                    continue;
+                }
                 for kx in 0..k_w {
                     let ix = ix0 + kx as isize;
-                    if ix >= 0 && (ix as usize) < w {
-                        dst[idx] = x[src_row + ix as usize];
-                    }
-                    idx += 1;
+                    let inside = iy >= 0 && (iy as usize) < h && ix >= 0 && (ix as usize) < w;
+                    emit(&[if inside {
+                        plane[iy as usize * w + ix as usize]
+                    } else {
+                        0.0
+                    }]);
                 }
+            }
+        }
+        ox += 1;
+        if ox == geo.out_w {
+            ox = 0;
+            oy += 1;
+            if oy == geo.out_h {
+                oy = 0;
+                img += 1;
             }
         }
     }
 }
 
+/// The `(rows, C·k_h·k_w)` im2col matrix of `x` at run width `KW`.
+fn im2col_matrix<const KW: usize>(
+    x: &[f32],
+    c: usize,
+    geo: &Conv2dGeometry,
+    rows: usize,
+) -> Vec<f32> {
+    let row_len = c * geo.k_h * geo.k_w;
+    // Every unrolled row is an independent gather, so rows partition freely
+    // over fixed-size blocks; the per-row walk is shared with the serial
+    // path, making the two bitwise identical.
+    if rows * row_len >= PARALLEL_ELEMS_THRESHOLD
+        && rows > IM2COL_ROWS_PER_BLOCK
+        && pool::threads() > 1
+    {
+        let mut out = scratch::take_vec(rows * row_len);
+        pool::parallel_chunks_mut(&mut out, IM2COL_ROWS_PER_BLOCK * row_len, |block, chunk| {
+            let (row0, n_rows, mut at) = (block * IM2COL_ROWS_PER_BLOCK, chunk.len() / row_len, 0);
+            let mut write = |run: &[f32]| {
+                chunk[at..at + run.len()].copy_from_slice(run);
+                at += run.len();
+            };
+            im2col_rows::<KW>(x, c, geo, row0, n_rows, &mut write);
+        });
+        out
+    } else {
+        // Every element is emitted, padding included, so the serial path
+        // appends to an empty buffer instead of overwriting a zero-fill.
+        let mut out = scratch::take_vec_with_capacity(rows * row_len);
+        im2col_rows::<KW>(x, c, geo, 0, rows, &mut |run| out.extend_from_slice(run));
+        out
+    }
+}
+
 /// Scatter-adds every unrolled row belonging to image `img` back into that
 /// image's `(C, H, W)` slab. Rows are visited in ascending order — the same
-/// accumulation order the image sees on the serial path.
-fn col2im_image(src: &[f32], img: usize, channels: usize, geo: &Conv2dGeometry, slab: &mut [f32]) {
+/// accumulation order the image sees on the serial path — and an interior
+/// kernel row adds as one `k_w`-float run.
+fn col2im_image<const KW: usize>(
+    src: &[f32],
+    img: usize,
+    channels: usize,
+    geo: &Conv2dGeometry,
+    slab: &mut [f32],
+) {
     let (h, w) = (geo.in_h, geo.in_w);
-    let row_len = channels * geo.k_h * geo.k_w;
+    let k_w = if KW == 0 { geo.k_w } else { KW };
+    let row_len = channels * geo.k_h * k_w;
     let positions = geo.out_positions();
-    let k_w = geo.k_w;
-    for p in 0..positions {
-        let row = img * positions + p;
-        let oy = p / geo.out_w;
-        let ox = p % geo.out_w;
+    let mut rows = src[img * positions * row_len..][..positions * row_len].chunks_exact(row_len);
+    for oy in 0..geo.out_h {
         let iy0 = (oy * geo.stride) as isize - geo.pad as isize;
-        let ix0 = (ox * geo.stride) as isize - geo.pad as isize;
-        // Same bounds hoisting as `im2col_row`: interior windows add each
-        // kernel row as one contiguous run, in the identical ascending
-        // (p, ch, ky, kx) order, so every slab element accumulates its
-        // terms in the same sequence as the element-at-a-time loop.
-        let full_x = ix0 >= 0 && ix0 as usize + k_w <= w;
-        let mut idx = row * row_len;
-        for ch in 0..channels {
-            let ch_off = ch * h * w;
-            for ky in 0..geo.k_h {
-                let iy = iy0 + ky as isize;
-                if iy < 0 || (iy as usize) >= h {
-                    idx += k_w;
-                    continue;
-                }
-                let dst_row = ch_off + iy as usize * w;
-                if full_x {
-                    let d = dst_row + ix0 as usize;
-                    for (o, s) in slab[d..d + k_w].iter_mut().zip(&src[idx..idx + k_w]) {
-                        *o += s;
+        for ox in 0..geo.out_w {
+            let ix0 = (ox * geo.stride) as isize - geo.pad as isize;
+            let full_x = ix0 >= 0 && ix0 as usize + k_w <= w;
+            let mut runs = rows.next().expect("one row per position").chunks_exact(k_w);
+            for ch in 0..channels {
+                let ch_off = ch * h * w;
+                for ky in 0..geo.k_h {
+                    let run = runs.next().expect("one run per kernel row");
+                    let iy = iy0 + ky as isize;
+                    if iy < 0 || (iy as usize) >= h {
+                        continue;
                     }
-                    idx += k_w;
-                } else {
-                    for kx in 0..k_w {
-                        let ix = ix0 + kx as isize;
-                        if ix >= 0 && (ix as usize) < w {
-                            slab[dst_row + ix as usize] += src[idx];
+                    let dst_row = ch_off + iy as usize * w;
+                    if full_x {
+                        let d = dst_row + ix0 as usize;
+                        for (o, s) in slab[d..d + k_w].iter_mut().zip(run) {
+                            *o += s;
                         }
-                        idx += 1;
+                    } else {
+                        for (kx, s) in run.iter().enumerate() {
+                            let ix = ix0 + kx as isize;
+                            if ix >= 0 && (ix as usize) < w {
+                                slab[dst_row + ix as usize] += s;
+                            }
+                        }
                     }
                 }
             }
@@ -213,26 +261,11 @@ pub fn im2col(input: &Tensor, channels: usize, geo: &Conv2dGeometry) -> Tensor {
     let row_len = c * geo.k_h * geo.k_w;
     let rows = n * geo.out_positions();
     let x = input.as_slice();
-    let mut out = scratch::take_vec(rows * row_len);
-
-    // Every unrolled row is an independent gather, so rows partition freely
-    // over fixed-size blocks; the per-row copy is shared with the serial
-    // path, making the two bitwise identical.
-    if rows * row_len >= PARALLEL_ELEMS_THRESHOLD
-        && rows > IM2COL_ROWS_PER_BLOCK
-        && pool::threads() > 1
-    {
-        pool::parallel_chunks_mut(&mut out, IM2COL_ROWS_PER_BLOCK * row_len, |block, chunk| {
-            let row0 = block * IM2COL_ROWS_PER_BLOCK;
-            for (r, dst) in chunk.chunks_mut(row_len).enumerate() {
-                im2col_row(x, row0 + r, c, h, w, geo, dst);
-            }
-        });
+    let out = if geo.k_w == FIXED_KW {
+        im2col_matrix::<FIXED_KW>(x, c, geo, rows)
     } else {
-        for (row, dst) in out.chunks_mut(row_len).enumerate() {
-            im2col_row(x, row, c, h, w, geo, dst);
-        }
-    }
+        im2col_matrix::<0>(x, c, geo, rows)
+    };
     Tensor::from_vec(out, &[rows, row_len])
 }
 
@@ -261,14 +294,19 @@ pub fn col2im(cols: &Tensor, n: usize, channels: usize, geo: &Conv2dGeometry) ->
     // per image: rows of different images write disjoint slabs, and within
     // an image the rows accumulate in the same ascending order the serial
     // path uses — bitwise identical for every thread count.
+    let image = if geo.k_w == FIXED_KW {
+        col2im_image::<FIXED_KW>
+    } else {
+        col2im_image::<0>
+    };
     let slab = channels * h * w;
     if n > 1 && n * slab >= PARALLEL_ELEMS_THRESHOLD && pool::threads() > 1 {
         pool::parallel_chunks_mut(&mut out, slab, |img, chunk| {
-            col2im_image(src, img, channels, geo, chunk);
+            image(src, img, channels, geo, chunk);
         });
     } else {
         for (img, chunk) in out.chunks_mut(slab).enumerate() {
-            col2im_image(src, img, channels, geo, chunk);
+            image(src, img, channels, geo, chunk);
         }
     }
     Tensor::from_vec(out, &[n, channels, h, w])
@@ -357,6 +395,48 @@ mod tests {
         assert_eq!(cols.dims(), &[1, 8]);
         // Channel 0 patch then channel 1 patch.
         assert_eq!(cols.as_slice(), &[0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]);
+    }
+
+    #[test]
+    fn fixed_and_runtime_widths_match_element_reference() {
+        use crate::{Init, TensorRng};
+        let mut rng = TensorRng::seed_from(8);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // 5-wide kernels move fixed-width runs, 3-wide ones runtime-width
+        // runs; padding and stride 2 exercise the border element loops.
+        for (k, stride, pad) in [(5, 1, 0), (5, 2, 2), (3, 1, 1)] {
+            let (n, c, h, w) = (2, 3, 9, 11);
+            let geo = Conv2dGeometry::new(h, w, k, k, stride, pad);
+            let x = rng.init(&[n, c, h, w], Init::Normal(1.0));
+            let cols = im2col(&x, c, &geo);
+            let dy = rng.init(cols.dims(), Init::Normal(1.0));
+            let back = col2im(&dy, n, c, &geo);
+            // Element-at-a-time reference: padding reads as zero, and each
+            // image element sums its terms in ascending row order.
+            let mut want_cols = Vec::new();
+            let mut want_back = vec![0.0f32; n * c * h * w];
+            for img in 0..n {
+                for (oy, ox) in (0..geo.out_h).flat_map(|oy| (0..geo.out_w).map(move |ox| (oy, ox)))
+                {
+                    for (ch, ky, kx) in
+                        (0..c).flat_map(|ch| (0..k * k).map(move |t| (ch, t / k, t % k)))
+                    {
+                        let iy = (oy * stride + ky) as isize - pad as isize;
+                        let ix = (ox * stride + kx) as isize - pad as isize;
+                        let g = dy.as_slice()[want_cols.len()];
+                        if iy >= 0 && ix >= 0 && (iy as usize) < h && (ix as usize) < w {
+                            let at = ((img * c + ch) * h + iy as usize) * w + ix as usize;
+                            want_cols.push(x.as_slice()[at]);
+                            want_back[at] += g;
+                        } else {
+                            want_cols.push(0.0);
+                        }
+                    }
+                }
+            }
+            assert_eq!(bits(cols.as_slice()), bits(&want_cols), "im2col k={k}");
+            assert_eq!(bits(back.as_slice()), bits(&want_back), "col2im k={k}");
+        }
     }
 
     #[test]

@@ -108,8 +108,8 @@ const ROWS_PER_BLOCK: usize = 16;
 const PARALLEL_FLOP_THRESHOLD: usize = 1 << 16;
 
 /// A borrowed matrix operand: flat data plus a logical `rows × cols` layout
-/// that the kernel's packing routines absorb, so transposes (and the conv
-/// backward's NCHW gradient) never materialize.
+/// that the kernel's packing routines absorb, so transposes never
+/// materialize.
 #[derive(Clone, Copy)]
 pub struct MatView<'a> {
     data: &'a [f32],
@@ -123,15 +123,6 @@ enum Layout {
     /// Logical `rows × cols` over data stored row-major as `cols × rows`
     /// (a transpose view): `(r, c) → data[c·rows + r]`.
     ColMajor { rows: usize, cols: usize },
-    /// Logical `(batch·positions) × channels` over NCHW-flattened data —
-    /// the conv layer's `(N, C, P)` gradient read as the `(N·P, C)` matrix
-    /// its backward products need, without the transpose copy:
-    /// `(b·positions + pos, ch) → data[b·channels·positions + ch·positions + pos]`.
-    BatchCol {
-        batch: usize,
-        channels: usize,
-        positions: usize,
-    },
 }
 
 impl<'a> MatView<'a> {
@@ -162,40 +153,10 @@ impl<'a> MatView<'a> {
         }
     }
 
-    /// `(batch·positions) × channels` view over `(batch, channels,
-    /// positions)` NCHW-flattened data (see the private `Layout::BatchCol`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != batch * channels * positions`.
-    pub fn batch_transposed(
-        data: &'a [f32],
-        batch: usize,
-        channels: usize,
-        positions: usize,
-    ) -> Self {
-        assert_eq!(
-            data.len(),
-            batch * channels * positions,
-            "MatView: data/shape mismatch"
-        );
-        Self {
-            data,
-            layout: Layout::BatchCol {
-                batch,
-                channels,
-                positions,
-            },
-        }
-    }
-
     /// Logical row count.
     pub fn rows(&self) -> usize {
         match self.layout {
             Layout::RowMajor { rows, .. } | Layout::ColMajor { rows, .. } => rows,
-            Layout::BatchCol {
-                batch, positions, ..
-            } => batch * positions,
         }
     }
 
@@ -203,7 +164,6 @@ impl<'a> MatView<'a> {
     pub fn cols(&self) -> usize {
         match self.layout {
             Layout::RowMajor { cols, .. } | Layout::ColMajor { cols, .. } => cols,
-            Layout::BatchCol { channels, .. } => channels,
         }
     }
 
@@ -213,7 +173,6 @@ impl<'a> MatView<'a> {
         match self.layout {
             Layout::RowMajor { .. } => 0,
             Layout::ColMajor { .. } => 1,
-            Layout::BatchCol { .. } => 2,
         }
     }
 
@@ -223,15 +182,6 @@ impl<'a> MatView<'a> {
         match self.layout {
             Layout::RowMajor { cols, .. } => self.data[r * cols + c],
             Layout::ColMajor { rows, .. } => self.data[c * rows + r],
-            Layout::BatchCol {
-                channels,
-                positions,
-                ..
-            } => {
-                let b = r / positions;
-                let pos = r % positions;
-                self.data[(b * channels + c) * positions + pos]
-            }
         }
     }
 }
@@ -528,25 +478,33 @@ pub fn matmul_batched_into(
 // ---------------------------------------------------------------------------
 
 /// One output row with a row-major `b`: `o_row += a[i][·] · b` in ikj order
-/// with the zero-skip. Shared by the serial and parallel paths so they are
-/// bitwise identical by construction.
+/// with the zero-skip. `a`'s layout is matched once per row, not per term.
+/// Shared by the serial and parallel paths so they are bitwise identical by
+/// construction.
 #[inline]
-fn direct_row_b_rowmajor(
-    a: &MatView<'_>,
-    i: usize,
-    b: &[f32],
-    k: usize,
-    n: usize,
-    o_row: &mut [f32],
-) {
-    for kk in 0..k {
-        let aik = a.get(i, kk);
-        if aik == 0.0 {
-            continue;
-        }
-        let b_row = &b[kk * n..(kk + 1) * n];
-        for (o, &bkj) in o_row.iter_mut().zip(b_row) {
-            *o += aik * bkj;
+fn direct_row_b_rowmajor(a: &MatView<'_>, i: usize, b: &[f32], k: usize, o_row: &mut [f32]) {
+    match a.layout {
+        Layout::RowMajor { cols, .. } => fold_row(a.data[i * cols..][..k].iter(), b, o_row),
+        Layout::ColMajor { rows, .. } => fold_row(a.data[i..].iter().step_by(rows), b, o_row),
+    }
+}
+
+/// `o_row += Σ_k a_row[k] · b[k][·]` over `k` ascending, skipping zero
+/// `a` terms. A one-column row folds in a register, not through memory.
+#[inline(always)]
+fn fold_row<'a>(a_row: impl Iterator<Item = &'a f32>, b: &[f32], o_row: &mut [f32]) {
+    if let [o] = o_row {
+        *o = a_row.zip(b).fold(
+            *o,
+            |acc, (&aik, &bk)| if aik != 0.0 { acc + aik * bk } else { acc },
+        );
+        return;
+    }
+    for (&aik, b_row) in a_row.zip(b.chunks_exact(o_row.len())) {
+        if aik != 0.0 {
+            for (o, &bkj) in o_row.iter_mut().zip(b_row) {
+                *o += aik * bkj;
+            }
         }
     }
 }
@@ -602,22 +560,6 @@ fn direct_row_b_colmajor(a: &MatView<'_>, i: usize, b: &[f32], k: usize, o_row: 
     }
 }
 
-/// One output row for any layout pair, via `get` (only reached by the
-/// BatchCol-B combinations, which the conv backward keeps above the blocked
-/// threshold except in small tests).
-#[inline]
-fn direct_row_generic(a: &MatView<'_>, b: &MatView<'_>, i: usize, k: usize, o_row: &mut [f32]) {
-    for kk in 0..k {
-        let aik = a.get(i, kk);
-        if aik == 0.0 {
-            continue;
-        }
-        for (j, o) in o_row.iter_mut().enumerate() {
-            *o += aik * b.get(kk, j);
-        }
-    }
-}
-
 fn direct(
     a: &MatView<'_>,
     b: &MatView<'_>,
@@ -632,9 +574,8 @@ fn direct(
     // the separate bias/activation passes (see `Epilogue`).
     let per_row = |i: usize, o_row: &mut [f32]| {
         match b.layout {
-            Layout::RowMajor { .. } => direct_row_b_rowmajor(a, i, b.data, k, n, o_row),
+            Layout::RowMajor { .. } => direct_row_b_rowmajor(a, i, b.data, k, o_row),
             Layout::ColMajor { .. } => direct_row_b_colmajor(a, i, b.data, k, o_row),
-            Layout::BatchCol { .. } => direct_row_generic(a, b, i, k, o_row),
         }
         ep.apply(o_row, 0);
     };
@@ -709,23 +650,9 @@ fn pack_a(
             // rows, and a packed strip's `kk`-th group is exactly `mr` of
             // them — so each (strip, kk) cell is one contiguous copy.
             for t in 0..mc.div_ceil(mr) {
-                let strip_rows = mr.min(mc - t * mr);
                 let strip = &mut dst[t * kc * mr..(t + 1) * kc * mr];
-                for kk in 0..kc {
-                    let col = &a.data[(pc + kk) * rows + i0 + t * mr..][..strip_rows];
-                    strip[kk * mr..kk * mr + strip_rows].copy_from_slice(col);
-                }
-            }
-        }
-        Layout::BatchCol { .. } => {
-            for t in 0..mc.div_ceil(mr) {
-                let strip = &mut dst[t * kc * mr..(t + 1) * kc * mr];
-                for r in 0..mr.min(mc - t * mr) {
-                    let row = i0 + t * mr + r;
-                    for kk in 0..kc {
-                        strip[kk * mr + r] = a.get(row, pc + kk);
-                    }
-                }
+                let src = &a.data[pc * rows + i0 + t * mr..];
+                copy_runs(src, rows, strip, mr, mr.min(mc - t * mr));
             }
         }
     }
@@ -733,24 +660,15 @@ fn pack_a(
 
 /// Packs depth `pc..pc+kc`, columns `jc..jc+nc` of `b` into `nr`-column
 /// strips, `kk`-major within each strip: `dst[strip·kc·nr + kk·nr + j]`.
-/// `dst` is pre-zeroed, so columns past `nc` stay zero-padded. Row-major
-/// rows pack as contiguous `nr`-wide `copy_from_slice` runs, which the
-/// compiler lowers to vector moves.
+/// `dst` is pre-zeroed, so columns past `nc` stay zero-padded. A row-major
+/// `b` packs each strip as `kc` runs of [`copy_runs`].
 fn pack_b(b: &MatView<'_>, pc: usize, kc: usize, jc: usize, nc: usize, nr: usize, dst: &mut [f32]) {
     match b.layout {
         Layout::RowMajor { cols, .. } => {
-            let full = nc / nr;
-            for kk in 0..kc {
-                let row = &b.data[(pc + kk) * cols + jc..][..nc];
-                for s in 0..full {
-                    dst[s * kc * nr + kk * nr..s * kc * nr + kk * nr + nr]
-                        .copy_from_slice(&row[s * nr..(s + 1) * nr]);
-                }
-                let rem = nc - full * nr;
-                if rem > 0 {
-                    dst[full * kc * nr + kk * nr..full * kc * nr + kk * nr + rem]
-                        .copy_from_slice(&row[full * nr..]);
-                }
+            for s in 0..nc.div_ceil(nr) {
+                let strip = &mut dst[s * kc * nr..(s + 1) * kc * nr];
+                let src = &b.data[pc * cols + jc + s * nr..];
+                copy_runs(src, cols, strip, nr, nr.min(nc - s * nr));
             }
         }
         Layout::ColMajor { rows, .. } => {
@@ -764,14 +682,29 @@ fn pack_b(b: &MatView<'_>, pc: usize, kc: usize, jc: usize, nc: usize, nr: usize
                 }
             }
         }
-        Layout::BatchCol { .. } => {
-            for s in 0..nc.div_ceil(nr) {
-                let strip = &mut dst[s * kc * nr..(s + 1) * kc * nr];
-                for j in 0..nr.min(nc - s * nr) {
-                    let col = jc + s * nr + j;
-                    for kk in 0..kc {
-                        strip[kk * nr + j] = b.get(pc + kk, col);
-                    }
+    }
+}
+
+/// Copies `width` floats from `src[r·stride..]` to `dst[r·step..]` for each
+/// of the `dst.len() / step` runs of a packed strip. The tile widths copy
+/// at a compile-time width, a few vector moves per run; a ragged edge strip
+/// copies column by column, strided on both sides. Neither makes a `memcpy`
+/// call per run, as a runtime-length `copy_from_slice` would.
+fn copy_runs(src: &[f32], stride: usize, dst: &mut [f32], step: usize, width: usize) {
+    fn fixed<const W: usize>(src: &[f32], stride: usize, dst: &mut [f32], step: usize) {
+        for (r, d) in dst.chunks_exact_mut(step).enumerate() {
+            d[..W].copy_from_slice(&src[r * stride..][..W]);
+        }
+    }
+    match width {
+        4 => fixed::<4>(src, stride, dst, step),
+        8 => fixed::<8>(src, stride, dst, step),
+        12 => fixed::<12>(src, stride, dst, step),
+        16 => fixed::<16>(src, stride, dst, step),
+        _ => {
+            for j in 0..width {
+                for (r, d) in dst.chunks_exact_mut(step).enumerate() {
+                    d[j] = src[r * stride + j];
                 }
             }
         }
@@ -1011,15 +944,28 @@ mod tests {
     }
 
     #[test]
-    fn batch_col_view_reads_nchw_as_np_by_c() {
-        // (batch=2, channels=3, positions=2) NCHW data.
-        let data: Vec<f32> = (0..12).map(|x| x as f32).collect();
-        let v = MatView::batch_transposed(&data, 2, 3, 2);
-        assert_eq!((v.rows(), v.cols()), (4, 3));
-        // Row (b=0, pos=1), channel 2 → data[0·6 + 2·2 + 1] = 5.
-        assert_eq!(v.get(1, 2), 5.0);
-        // Row (b=1, pos=0), channel 1 → data[6 + 2 + 0] = 8.
-        assert_eq!(v.get(2, 1), 8.0);
+    fn direct_path_matches_reference_exactly() {
+        let mut rng = TensorRng::seed_from(5);
+        // m·k·n < 2^18, so both shapes take the direct path: the PPO value
+        // head's weight gradient (one column) and a ragged many-column
+        // product, each with a col-major and a row-major A. Zeros in A
+        // exercise the zero-skip.
+        for (m, k, n) in [(64, 500, 1), (13, 37, 9)] {
+            let mut a = rng.init(&[k, m], Init::Normal(1.0));
+            for v in a.as_mut_slice().iter_mut().step_by(7) {
+                *v = 0.0;
+            }
+            let b = rng.init(&[k, n], Init::Normal(1.0));
+            let bv = MatView::row_major(b.as_slice(), k, n);
+            for av in [
+                MatView::transposed(a.as_slice(), m, k),
+                MatView::row_major(a.as_slice(), m, k),
+            ] {
+                let mut out = vec![0.0f32; m * n];
+                direct(&av, &bv, m, k, n, &mut out, Epilogue::None);
+                assert_eq!(out, reference(&av, &bv), "{m}x{k}x{n}");
+            }
+        }
     }
 
     #[test]

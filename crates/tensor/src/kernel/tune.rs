@@ -35,7 +35,7 @@ pub struct ShapeKey {
     pub k: usize,
     /// Output columns.
     pub n: usize,
-    /// Layout tag of `a`: 0 = row-major, 1 = col-major, 2 = batch-col.
+    /// Layout tag of `a`: 0 = row-major, 1 = col-major.
     pub layout_a: u8,
     /// Layout tag of `b` (same encoding).
     pub layout_b: u8,

@@ -28,8 +28,9 @@
 //!
 //! Buffers are handed out *cleared* (`len == 0`) by
 //! [`take_vec_with_capacity`] or zero-filled by [`take_vec`]; stale contents
-//! never leak between users. The zero-fill also preserves `im2col`'s
-//! reliance on pre-zeroed padding.
+//! never leak between users. Code that writes every element, such as
+//! `im2col` (which writes its padding zeros itself), builds on a cleared
+//! buffer and skips the zero-fill.
 //!
 //! # Examples
 //!
