@@ -34,6 +34,9 @@ echo "==> kernel + determinism suites on the pinned scalar tier"
 CHIRON_SIMD=0 cargo test -q --release --offline --test simd --test parallel_determinism \
     --test cnn_bits
 CHIRON_SIMD=0 cargo test -q --release --offline -p chiron-tensor kernel
+# The direct conv kernels' unit tests compare each tier against an
+# element-at-a-time reference fold.
+CHIRON_SIMD=0 cargo test -q --release --offline -p chiron-tensor conv
 
 echo "==> tournament smoke: bitwise-identical leaderboard at 1/4/8 threads"
 # The closed-form / non-learning corner of the zoo, one episode and one

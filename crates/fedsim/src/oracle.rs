@@ -352,12 +352,13 @@ impl TrainingOracle {
     ///
     /// On a miss, the 64-sample evaluation chunks all run through one
     /// batched forward on the resident model
-    /// ([`Sequential::forward_chunks`]), which packs each weight panel
-    /// once and fuses bias/ReLU epilogues instead of cloning the model per
-    /// chunk. The forward pass treats every sample row independently, so
-    /// the integer (correct, total) counts — and hence the accuracy — are
-    /// bitwise-identical to the serial per-chunk loop at every thread
-    /// count.
+    /// ([`Sequential::forward_chunks`]): the conv layers run their direct
+    /// kernel per chunk with bias and ReLU fused, and the linear layers
+    /// share one packed weight panel across chunks, instead of cloning the
+    /// model per chunk. The forward pass treats every sample row
+    /// independently, so the integer (correct, total) counts — and hence
+    /// the accuracy — are bitwise-identical to the serial per-chunk loop at
+    /// every thread count.
     pub fn evaluate(&mut self) -> f64 {
         static EVAL_CACHE_HITS: chiron_telemetry::Counter =
             chiron_telemetry::Counter::new("fedsim.oracle.eval_cache_hits");

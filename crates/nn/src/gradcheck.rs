@@ -260,7 +260,7 @@ mod tests {
     fn conv_pool_stack_grads_match() {
         let mut rng = TensorRng::seed_from(2);
         let mut net = Sequential::new();
-        net.push(Conv2d::new(1, 3, 3, 1, 0, 6, 6, &mut rng));
+        net.push(Conv2d::new(1, 3, 3, 0, 6, 6, &mut rng));
         net.push(Relu::new());
         net.push(MaxPool2d::new(4, 4));
         net.push(crate::models::Flatten::new());

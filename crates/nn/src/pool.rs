@@ -72,9 +72,9 @@ impl Layer for MaxPool2d {
         self.argmax.resize(len, 0);
 
         // Each window scans its four elements top row first, left to right,
-        // from `(-inf, 0)` with a strict `>`: the first maximum wins, NaNs
-        // never win, and an all-NaN/-inf window keeps `(-inf, 0)`, routing
-        // its gradient to element 0 of the batch. The selects compile to
+        // from `(-inf, top-left)` with a strict `>`: the first maximum wins,
+        // NaNs never win, and an all-NaN/-inf window keeps `-inf` and routes
+        // its gradient to its own top-left element. The selects compile to
         // conditional moves.
         let out_rows = out
             .chunks_exact_mut(ow)
@@ -92,7 +92,7 @@ impl Layer for MaxPool2d {
             {
                 let i = top + 2 * ox;
                 let mut best = f32::NEG_INFINITY;
-                let mut best_idx = 0usize;
+                let mut best_idx = i;
                 for (v, idx) in [(t[0], i), (t[1], i + 1), (b[0], i + w), (b[1], i + w + 1)] {
                     let take = v > best;
                     best = if take { v } else { best };
@@ -183,10 +183,10 @@ mod tests {
         assert_eq!(y.as_slice()[0], 3.0);
         assert_eq!(y.as_slice()[1], f32::NEG_INFINITY);
         // The tie goes to the first 3.0 (index 1); the all-NaN window keeps
-        // index 0.
+        // its own top-left element (index 2).
         let dx = pool.backward(&Tensor::from_vec(vec![1.0, 2.0], &[1, 1, 1, 2]));
-        assert_eq!(&dx.as_slice()[..2], &[2.0, 1.0]);
-        assert!(dx.as_slice()[2..].iter().all(|&g| g == 0.0));
+        assert_eq!(&dx.as_slice()[..4], &[0.0, 1.0, 2.0, 0.0]);
+        assert!(dx.as_slice()[4..].iter().all(|&g| g == 0.0));
     }
 
     #[test]

@@ -288,7 +288,7 @@ mod tests {
         // fused linear epilogue, MaxPool2d the per-chunk fallback, and the
         // final Linear the unfused bias epilogue.
         let mut net = Sequential::new();
-        net.push(Conv2d::new(1, 4, 3, 1, 0, 8, 8, &mut rng));
+        net.push(Conv2d::new(1, 4, 3, 0, 8, 8, &mut rng));
         net.push(Relu::new());
         net.push(MaxPool2d::new(6, 6));
         net.push(crate::models::Flatten::new());
@@ -324,7 +324,7 @@ mod tests {
         // first layer — only reached here via the conv, so the Linear
         // override is exercised by the MLP below).
         let mut cnn = Sequential::new();
-        cnn.push(Conv2d::new(1, 3, 3, 1, 0, 6, 6, &mut rng));
+        cnn.push(Conv2d::new(1, 3, 3, 0, 6, 6, &mut rng));
         cnn.push(Relu::new());
         cnn.push(MaxPool2d::new(4, 4));
         cnn.push(crate::models::Flatten::new());

@@ -2,12 +2,13 @@
 //! dispatch and a fixed per-shape blocking table.
 //!
 //! All three matmul variants ([`Tensor::matmul`](crate::Tensor::matmul),
-//! `matmul_tn`, `matmul_nt`) and the conv-backward products route through
-//! [`matmul_views`], which dispatches on problem size:
+//! `matmul_tn`, `matmul_nt`) and the conv input-gradient product route
+//! through [`matmul_views`], which dispatches on problem size:
 //!
 //! * **Direct path** (small products, e.g. the PPO MLP's `30×64·64×64`):
 //!   the original unblocked row loops — no packing overhead, always scalar.
-//! * **Blocked path** (the conv-dominated im2col products): BLIS-style
+//! * **Blocked path** (larger products, e.g. conv2's input gradient
+//!   `dy·Wᵀ`, the linear layers' batched forward): BLIS-style
 //!   `jc → pc → ic` panel blocking, both operands packed into contiguous
 //!   panels from the scratch arena, and a register-tiled micro-kernel.
 //!
@@ -90,10 +91,10 @@ pub const NR: usize = 4;
 
 /// Multiply-add count below which the packed path's setup (panel packing,
 /// C-tile staging) costs more than it saves. The PPO-sized products
-/// (`30·64·64 ≈ 1.2×10⁵`) stay direct; every conv im2col product of the
-/// paper's CNNs (≥ 1.4×10⁶) goes blocked. Dispatch is by shape only, so a
-/// given product always takes the same path at every thread count — and the
-/// two paths agree bitwise anyway (see module docs).
+/// (`30·64·64 ≈ 1.2×10⁵`) stay direct; conv2's input-gradient product
+/// (`640·20·250 ≈ 3.2×10⁶` at batch 10) goes blocked. Dispatch is by shape
+/// only, so a given product always takes the same path at every thread
+/// count — and the two paths agree bitwise anyway (see module docs).
 const BLOCKED_FLOP_THRESHOLD: usize = 1 << 18;
 
 /// Output rows per parallel block on the *direct* path. Fixed by the

@@ -244,6 +244,130 @@ pub(super) fn micro_col_edge(
     false
 }
 
+// ---------------------------------------------------------------------------
+// Direct convolution entry points (see `conv` for the fold they run)
+// ---------------------------------------------------------------------------
+
+/// Most accumulator vectors a direct-conv kernel holds, leaving registers
+/// for the input vector and the broadcasts.
+const CONV_ACCS: usize = 12;
+
+/// Splits `len` items into the fewest blocks of at most `max`, as even as
+/// possible: `(start, size)` pairs in ascending order.
+fn even_blocks(len: usize, max: usize) -> impl Iterator<Item = (usize, usize)> {
+    let blocks = len.div_ceil(max);
+    let (base, extra) = (len / blocks, len % blocks);
+    (0..blocks).map(move |b| (b * base + b.min(extra), base + usize::from(b < extra)))
+}
+
+/// Whether every window of `geo` lies inside its input, which the vector
+/// kernels' unchecked reads rely on: no padding, stride 1, and output sizes
+/// that match.
+fn is_unpadded_stride_1(geo: &crate::Conv2dGeometry) -> bool {
+    geo.pad == 0
+        && geo.stride == 1
+        && geo.out_h + geo.k_h == geo.in_h + 1
+        && geo.out_w + geo.k_w == geo.in_w + 1
+}
+
+/// Runs `$body` with `$n` bound as a `const usize` of the runtime value
+/// `$v`, which must be one of the listed literals.
+macro_rules! with_const {
+    ($v:expr; $($lit:literal)+; $n:ident => $body:expr) => {
+        match $v {
+            $($lit => {
+                const $n: usize = $lit;
+                $body
+            })+
+            v => unreachable!("block size {v} out of range"),
+        }
+    };
+}
+
+/// Direct-convolution forward pass over one image on the vector tier:
+/// `x` is the image `(C, H, W)`, `out` its zeroed `(K, out_h, out_w)` slab,
+/// `w` the `(C·k_h·k_w, K)` filters. Returns `false` when the tier has no
+/// kernel or the output is narrower than a vector; the caller then runs the
+/// portable loop, which computes the same bits.
+#[allow(unused_variables, clippy::too_many_arguments)]
+pub(crate) fn conv_forward(
+    tier: DispatchTier,
+    x: &[f32],
+    w: &[f32],
+    bias: &[f32],
+    geo: &crate::Conv2dGeometry,
+    c_in: usize,
+    relu: bool,
+    out: &mut [f32],
+) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if tier == DispatchTier::Avx2 && geo.out_w >= 8 {
+        let (c_out, p) = (bias.len(), geo.out_positions());
+        assert!(is_unpadded_stride_1(geo));
+        assert!(x.len() >= c_in * geo.in_h * geo.in_w && out.len() >= c_out * p);
+        assert!(w.len() >= c_in * geo.k_h * geo.k_w * c_out);
+        for (f0, fb) in even_blocks(c_out, CONV_ACCS) {
+            let (w, b, o) = (&w[f0..], &bias[f0..f0 + fb], &mut out[f0 * p..]);
+            // Safety: `Avx2` is only produced where the feature was
+            // detected; the kernel reads and writes inside the extents
+            // asserted above.
+            unsafe {
+                with_const!(fb; 1 2 3 4 5 6 7 8 9 10 11 12; FB =>
+                    avx2::conv_forward_block::<FB>(x, w, b, geo, c_in, c_out, relu, o))
+            }
+        }
+        return true;
+    }
+    false
+}
+
+/// Direct parameter gradients for output channels `f0..f0 + nf` on the
+/// vector tier: `rows` receives one row per channel, its `C·k_h·k_w`
+/// weights and then its bias. `x` is the whole
+/// `(N, C, H, W)` input and `last` a copy of its last image with at least 8
+/// floats of slack, since a kernel row's last window reads past its image.
+/// Returns `false` when the tier has no kernel or `k_w > 8`; the caller then
+/// runs the portable loop, which computes the same bits.
+#[allow(unused_variables, clippy::too_many_arguments)]
+pub(crate) fn conv_weight_grad(
+    tier: DispatchTier,
+    x: &[f32],
+    last: &[f32],
+    dy: &[f32],
+    geo: &crate::Conv2dGeometry,
+    n: usize,
+    c_in: usize,
+    c_out: usize,
+    f0: usize,
+    nf: usize,
+    rows: &mut [f32],
+) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if tier == DispatchTier::Avx2 && geo.k_w <= 8 {
+        let img_len = c_in * geo.in_h * geo.in_w;
+        assert!(is_unpadded_stride_1(geo));
+        assert!(n > 0 && x.len() >= n * img_len && last.len() >= img_len + 8);
+        assert!(dy.len() >= n * c_out * geo.out_positions() && f0 + nf <= c_out);
+        assert!(rows.len() >= nf * (c_in * geo.k_h * geo.k_w + 1));
+        for (q0, nq) in even_blocks(c_in * geo.k_h, CONV_ACCS / nf) {
+            // Safety: `Avx2` is only produced where the feature was
+            // detected; the kernel reads and writes inside the extents
+            // asserted above (the last image through `last`).
+            unsafe {
+                match nf {
+                    1 => with_const!(nq; 1 2 3 4 5 6 7 8 9 10 11 12; R =>
+                        avx2::conv_wgrad_block::<R, 1>(x, last, dy, geo, n, c_in, c_out, f0, q0, rows)),
+                    2 => with_const!(nq; 1 2 3 4 5 6; R =>
+                        avx2::conv_wgrad_block::<R, 2>(x, last, dy, geo, n, c_in, c_out, f0, q0, rows)),
+                    _ => unreachable!("weight-gradient tasks hold 1 or 2 channels"),
+                }
+            }
+        }
+        return true;
+    }
+    false
+}
+
 /// The pinned 8×4 scalar micro-kernel with compile-time tile bounds: the
 /// accumulator tile lives in a fixed `[[f32; 4]; 8]` the compiler keeps in
 /// registers (and SLP-vectorizes — lanes along `j` are independent
@@ -453,6 +577,154 @@ mod avx2 {
         };
     }
     mk_n16_edge!(m4n16_edge, 4);
+
+    /// Direct-conv forward for output channels `0..FB` of `w`, `bias` and
+    /// `out` (already offset to the block's first channel; `w` keeps its
+    /// row stride `c_out`). For each output row, 8 adjacent columns × `FB`
+    /// channels sit in registers while the `(c, r, s)` terms fold in
+    /// ascending order: one input load, then per channel an unfused
+    /// `acc + x·w` (`_mm256_mul_ps` then `_mm256_add_ps`, input first).
+    /// The bias add and ReLU follow on the finished accumulator;
+    /// `_mm256_max_ps(v, 0)` returns `0.0` for a NaN `v`, as `f32::max`
+    /// does (and `v` is never `-0.0`: a fold from `+0.0` cannot reach it). A
+    /// row whose width is not a multiple of 8 ends with a window that
+    /// overlaps the previous one: the overlapping columns are recomputed to
+    /// the same bits and stored again.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available; `geo` must be unpadded, stride 1, with
+    /// `out_w >= 8`; `x` must hold `C·H·W` floats, `w` the block's filter
+    /// columns (`(C·k_h·k_w - 1)·c_out + FB` floats), and `out` `FB` output
+    /// planes.
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
+    pub unsafe fn conv_forward_block<const FB: usize>(
+        x: &[f32],
+        w: &[f32],
+        bias: &[f32],
+        geo: &crate::Conv2dGeometry,
+        c_in: usize,
+        c_out: usize,
+        relu: bool,
+        out: &mut [f32],
+    ) {
+        let (in_w, in_hw, out_w) = (geo.in_w, geo.in_h * geo.in_w, geo.out_w);
+        let p = geo.out_positions();
+        let zero = _mm256_setzero_ps();
+        for oy in 0..geo.out_h {
+            let mut ox = 0;
+            while ox < out_w {
+                let ox0 = ox.min(out_w - 8);
+                let mut acc = [zero; FB];
+                let mut wk = w.as_ptr();
+                for c in 0..c_in {
+                    for r in 0..geo.k_h {
+                        let xr = x.as_ptr().add(c * in_hw + (oy + r) * in_w + ox0);
+                        for s in 0..geo.k_w {
+                            let xv = _mm256_loadu_ps(xr.add(s));
+                            for (j, a) in acc.iter_mut().enumerate() {
+                                let wv = _mm256_set1_ps(*wk.add(j));
+                                *a = _mm256_add_ps(*a, _mm256_mul_ps(xv, wv));
+                            }
+                            wk = wk.add(c_out);
+                        }
+                    }
+                }
+                for (j, a) in acc.iter().enumerate() {
+                    let mut v = _mm256_add_ps(*a, _mm256_set1_ps(bias[j]));
+                    if relu {
+                        v = _mm256_max_ps(v, zero);
+                    }
+                    _mm256_storeu_ps(out.as_mut_ptr().add(j * p + oy * out_w + ox0), v);
+                }
+                ox += 8;
+            }
+        }
+    }
+
+    /// Direct-conv weight gradient for kernel rows `q0..q0 + R` (row `q`
+    /// is `(c, r) = (q / k_h, q % k_h)`) of output channels `f0..f0 + F`.
+    /// Lanes lie along `s`: one vector per (row, channel) holds the row's
+    /// `k_w` weights in its leading lanes. Each `(n, oy, ox)` step
+    /// broadcasts `dy` once per channel, loads the 8 inputs starting at
+    /// the window's column once per row, and adds `x·dy` (unfused, input
+    /// first) into every accumulator — so each weight folds its terms in
+    /// `(n, oy, ox)` order from `+0.0`. Lanes past `k_w` are never stored.
+    /// The block holding row 0 also adds each broadcast `dy` into a bias
+    /// accumulator per channel, the bias gradient's fold in the same order.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available; `geo` must be unpadded, stride 1, with
+    /// `k_w <= 8`; `x` must hold `n` images of `C·H·W` floats and `last` the
+    /// last one plus 8 floats; `dy` must hold `n·c_out` output planes, with
+    /// `f0 + F <= c_out` and `q0 + R <= C·k_h`.
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
+    pub unsafe fn conv_wgrad_block<const R: usize, const F: usize>(
+        x: &[f32],
+        last: &[f32],
+        dy: &[f32],
+        geo: &crate::Conv2dGeometry,
+        n: usize,
+        c_in: usize,
+        c_out: usize,
+        f0: usize,
+        q0: usize,
+        rows: &mut [f32],
+    ) {
+        let (in_w, in_hw, out_w) = (geo.in_w, geo.in_h * geo.in_w, geo.out_w);
+        let (k_h, k_w, p) = (geo.k_h, geo.k_w, geo.out_positions());
+        let mut off = [0usize; R];
+        for (i, o) in off.iter_mut().enumerate() {
+            *o = (q0 + i) / k_h * in_hw + (q0 + i) % k_h * in_w;
+        }
+        let mut acc = [[_mm256_setzero_ps(); F]; R];
+        let mut bias = [_mm256_setzero_ps(); F];
+        let with_bias = q0 == 0;
+        for img in 0..n {
+            let xi = if img + 1 < n {
+                x.as_ptr().add(img * c_in * in_hw)
+            } else {
+                last.as_ptr()
+            };
+            let dyi = dy.as_ptr().add((img * c_out + f0) * p);
+            for oy in 0..geo.out_h {
+                let (xo, dyo) = (xi.add(oy * in_w), dyi.add(oy * out_w));
+                for ox in 0..out_w {
+                    let mut d = [_mm256_setzero_ps(); F];
+                    for (j, dj) in d.iter_mut().enumerate() {
+                        *dj = _mm256_set1_ps(*dyo.add(j * p + ox));
+                    }
+                    if with_bias {
+                        for (b, dj) in bias.iter_mut().zip(&d) {
+                            *b = _mm256_add_ps(*b, *dj);
+                        }
+                    }
+                    for (o, acc_row) in off.iter().zip(acc.iter_mut()) {
+                        let xv = _mm256_loadu_ps(xo.add(o + ox));
+                        for (a, dj) in acc_row.iter_mut().zip(&d) {
+                            *a = _mm256_add_ps(*a, _mm256_mul_ps(xv, *dj));
+                        }
+                    }
+                }
+            }
+        }
+        let fan = c_in * k_h * k_w;
+        let mut lanes = [0.0f32; 8];
+        for (i, acc_row) in acc.iter().enumerate() {
+            for (j, a) in acc_row.iter().enumerate() {
+                _mm256_storeu_ps(lanes.as_mut_ptr(), *a);
+                rows[j * (fan + 1) + (q0 + i) * k_w..][..k_w].copy_from_slice(&lanes[..k_w]);
+            }
+        }
+        if with_bias {
+            for (j, b) in bias.iter().enumerate() {
+                rows[j * (fan + 1) + fan] = _mm256_cvtss_f32(*b);
+            }
+        }
+    }
 
     /// Transposes one 8×8 `f32` block with in-register unpack/shuffle/permute
     /// passes: `src` points at 8 row-major matrix rows (stride `src_stride`),

@@ -12,9 +12,12 @@
 //! | vector | `n >= 128` | 128 / 256 / 512 | 4×16 |
 //! | vector | otherwise | 128 / 256 / 512 | 8×8 |
 //!
-//! The col-major-A products are the weight-gradient GEMMs (`xᵀ·dy`), whose
-//! short `m` and long `k` favour the tallest tile; wide outputs (the conv
-//! backward's `dy·Wᵀ`) fill both 8-lane vectors of the 4×16 tile.
+//! The col-major-A products are the linear layers' weight gradients
+//! (`xᵀ·dy`), whose short `m` and long `k` favour the tallest tile; wide
+//! outputs (conv2's input-gradient product `dy·Wᵀ`, 640×20×250 at batch
+//! 10) fill both 8-lane vectors of the 4×16 tile. The convolutions' forward
+//! passes and weight gradients do not run here: they are direct kernels
+//! (see [`conv2d_forward`](crate::conv2d_forward)).
 //!
 //! # Determinism
 //!

@@ -8,7 +8,8 @@
 //! * elementwise arithmetic, broadcasting against scalars and rows;
 //! * 2-D matrix multiplication (plus transposed variants) tuned for the
 //!   small policy/value networks and CNNs the paper trains;
-//! * `im2col`/`col2im` data-layout transforms used by convolution layers;
+//! * direct convolution kernels (forward pass and weight gradient) over
+//!   NCHW batches, and the `col2im` scatter for the input gradient;
 //! * reductions (`sum`, `mean`, `max`, `argmax`) along the last axis;
 //! * seeded random initialization (uniform, normal, Xavier/He fan-based).
 //!
@@ -37,7 +38,7 @@ pub mod scratch;
 mod shape;
 mod tensor;
 
-pub use conv::{col2im, im2col, Conv2dGeometry};
+pub use conv::{col2im, conv2d_forward, conv2d_weight_grad, Conv2dGeometry};
 pub use init::{Init, RngState, TensorRng};
 pub use kernel::simd::{active_tier, detect, DispatchTier, MicroTile};
 pub use kernel::tune::{cached_params, params_for, KernelParams, ShapeKey};

@@ -1,6 +1,6 @@
 //! Shared deterministic worker pool — the parallel compute backend behind
-//! the tensor hot paths (matmul, im2col/col2im) and the batched training
-//! passes in `chiron-nn` / `chiron-drl`.
+//! the tensor hot paths (matmul, conv kernels, col2im) and the batched
+//! training passes in `chiron-nn` / `chiron-drl`.
 //!
 //! # Design
 //!
@@ -31,11 +31,11 @@
 //! # Regions and the inline rule
 //!
 //! [`parallel_for`] and the chunk helpers serve fine-grained regions
-//! (matmul tiles, im2col rows, batch lanes). [`map`], [`map_mut`] and
-//! [`run`] serve named outer regions — federated nodes training local
-//! models, sweep cells, evaluation seeds: one block per task, results in
-//! task order, a telemetry span named after the region, and the
-//! `tensor.scope.{regions,tasks,inline_regions}` counters.
+//! (matmul tiles, conv images and channel pairs, batch lanes). [`map`],
+//! [`map_mut`] and [`run`] serve named outer regions — federated nodes
+//! training local models, sweep cells, evaluation seeds: one block per
+//! task, results in task order, a telemetry span named after the region,
+//! and the `tensor.scope.{regions,tasks,inline_regions}` counters.
 //!
 //! Every region follows one rule: it runs inline on the calling thread
 //! when the pool is serial, when it has a single block, or when the

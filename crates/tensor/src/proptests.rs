@@ -1,8 +1,8 @@
 //! Property-based tests for tensor algebra invariants.
 
 use crate::{
-    col2im, detect, im2col, matmul_into_with, Conv2dGeometry, DispatchTier, Init, KernelParams,
-    MatView, Tensor, TensorRng,
+    col2im, conv2d_forward, detect, matmul_into_with, Conv2dGeometry, DispatchTier, Init,
+    KernelParams, MatView, Tensor, TensorRng,
 };
 use proptest::prelude::*;
 
@@ -91,23 +91,33 @@ proptest! {
     }
 
     #[test]
-    fn im2col_col2im_adjoint(
+    fn conv_forward_input_grad_adjoint(
         seed in 0u64..500,
-        h in 3usize..8,
-        w in 3usize..8,
+        n in 1usize..3,
+        h in 3usize..10,
+        w in 3usize..12,
         k in 1usize..4,
-        stride in 1usize..3,
         pad in 0usize..2,
+        c_out in 1usize..14,
     ) {
+        // <conv(x), y> == <x, col2im(y·Wᵀ)>: the input gradient the conv
+        // layer forms is the adjoint of its direct forward pass.
         prop_assume!(h + 2 * pad >= k && w + 2 * pad >= k);
         let mut rng = TensorRng::seed_from(seed);
-        let x = rng.init(&[1, 2, h, w], Init::Normal(1.0));
-        let geo = Conv2dGeometry::new(h, w, k, k, stride, pad);
-        let cols = im2col(&x, 2, &geo);
-        let y = rng.init(cols.dims(), Init::Normal(1.0));
-        let lhs = cols.dot(&y) as f64;
-        let rhs = x.dot(&col2im(&y, 1, 2, &geo)) as f64;
-        prop_assert!((lhs - rhs).abs() < 1e-2 * lhs.abs().max(1.0));
+        let x = rng.init(&[n, 2, h, w], Init::Normal(1.0));
+        let geo = Conv2dGeometry::new(h, w, k, k, 1, pad);
+        let wt = rng.init(&[2 * k * k, c_out], Init::Normal(1.0));
+        let y = conv2d_forward(&x, &wt, &vec![0.0; c_out], &geo, false);
+        // The cotangent in the product's `(N·P, K)` layout.
+        let p = geo.out_positions();
+        let yt = rng.init(&[n * p, c_out], Init::Normal(1.0));
+        let mut lhs = 0.0f64;
+        for (i, &v) in y.as_slice().iter().enumerate() {
+            let (img, f, pos) = (i / (c_out * p), i / p % c_out, i % p);
+            lhs += f64::from(v) * f64::from(yt.as_slice()[(img * p + pos) * c_out + f]);
+        }
+        let rhs = x.dot(&col2im(&yt.matmul_nt(&wt), n, 2, &geo)) as f64;
+        prop_assert!((lhs - rhs).abs() < 1e-2 * lhs.abs().max(1.0), "{} vs {}", lhs, rhs);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Thread-local, size-bucketed `f32` buffer arena.
 //!
 //! Every tensor-sized allocation in the hot paths — matmul outputs, packing
-//! panels, im2col matrices, layer activations, PPO gradient buffers — is a
+//! panels, conv outputs, layer activations, PPO gradient buffers — is a
 //! short-lived `Vec<f32>` of a shape that repeats identically step after
 //! step. This module recycles those vectors so steady-state training
 //! performs **zero heap allocations per step** once every shape has been
@@ -29,8 +29,7 @@
 //! Buffers are handed out *cleared* (`len == 0`) by
 //! [`take_vec_with_capacity`] or zero-filled by [`take_vec`]; stale contents
 //! never leak between users. Code that writes every element, such as
-//! `im2col` (which writes its padding zeros itself), builds on a cleared
-//! buffer and skips the zero-fill.
+//! `Tensor::clone`, builds on a cleared buffer and skips the zero-fill.
 //!
 //! # Examples
 //!

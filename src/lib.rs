@@ -12,7 +12,7 @@
 //!
 //! | Crate | Role |
 //! |---|---|
-//! | [`tensor`](chiron_tensor) | dense `f32` tensors, matmul, im2col |
+//! | [`tensor`](chiron_tensor) | dense `f32` tensors, matmul, direct conv kernels |
 //! | [`nn`](chiron_nn) | layers, losses, optimizers, the paper's CNNs |
 //! | [`data`](chiron_data) | synthetic dataset profiles + partitioners |
 //! | [`fedsim`](chiron_fedsim) | node economics, FedAvg, oracles, env |

@@ -2,17 +2,17 @@
 //!
 //! The determinism suites compare thread counts within one build, and
 //! `tests/simd.rs` compares dispatch tiers on bare GEMMs. Neither would
-//! notice a change to a layer's data movement (im2col, packing, the conv
-//! transposes, pooling, activations) that moved an output bit the same way
-//! at every thread count. This suite pins the bits themselves: parameters,
-//! inputs and the output gradient come from an integer hash (no normal
-//! init, softmax or `exp`, so no libm result feeds the pinned values), the
-//! network takes three momentum-SGD steps at batch 10 and then runs an
-//! inference pass over a 64-sample and an 8-sample chunk, and an FNV-1a
-//! fingerprint of the final parameters and logits must equal a recorded
-//! constant at 1 and 4 threads. CI runs it at the default SIMD tier and
-//! again under `CHIRON_SIMD=0`; every tier must reproduce the same
-//! constants.
+//! notice a change to a layer's arithmetic or data movement (the conv
+//! kernels, packing, the gradient transpose, pooling, activations) that
+//! moved an output bit the same way at every thread count. This suite pins
+//! the bits themselves: parameters, inputs and the output gradient come
+//! from an integer hash (no normal init, softmax or `exp`, so no libm
+//! result feeds the pinned values), the network takes three momentum-SGD
+//! steps at batch 10 and then runs an inference pass over a 64-sample and
+//! an 8-sample chunk, and an FNV-1a fingerprint of the final parameters and
+//! logits must equal a recorded constant at 1 and 4 threads. CI runs it at
+//! the default SIMD tier and again under `CHIRON_SIMD=0`; every tier must
+//! reproduce the same constants.
 
 mod common;
 

@@ -18,7 +18,9 @@ use chiron_fedsim::faults::FaultProcessConfig;
 use chiron_fedsim::oracle::{AccuracyOracle, RoundContext, TrainingOracle};
 use chiron_fedsim::{ChannelVariation, EdgeLearningEnv, EnvConfig};
 use chiron_nn::{models, Linear, Relu, Sequential, SoftmaxCrossEntropy};
-use chiron_tensor::{im2col, pool, Conv2dGeometry, Init, TensorRng};
+use chiron_tensor::{
+    col2im, conv2d_forward, conv2d_weight_grad, pool, Conv2dGeometry, Init, TensorRng,
+};
 
 /// Runs `f` at 1 thread and then at 4 and at 8, holding the pool size for
 /// the whole sweep; returns the serial result and each `(threads, result)`.
@@ -57,17 +59,29 @@ fn matmul_outputs_are_bitwise_identical() {
 
 #[test]
 fn conv_layout_transforms_are_bitwise_identical() {
+    // The direct forward fans out over images, the weight gradient over
+    // output-channel pairs, and `col2im` over images.
     let mut rng = TensorRng::seed_from(12);
     let x = rng.init(&[10, 3, 28, 28], Init::Normal(1.0));
     let geo = Conv2dGeometry::new(28, 28, 5, 5, 1, 0);
+    let w = rng.init(&[75, 10], Init::Normal(1.0));
+    let bias = rng.init(&[10], Init::Normal(1.0));
+    let dy = rng.init(&[10, 10, 24, 24], Init::Normal(1.0));
+    let cols = rng.init(&[10 * 24 * 24, 75], Init::Normal(1.0));
     let (s, runs) = at_thread_counts(|| {
-        let cols = im2col(&x, 3, &geo);
-        let back = chiron_tensor::col2im(&cols, 10, 3, &geo);
-        (cols, back)
+        let y = conv2d_forward(&x, &w, bias.as_slice(), &geo, true);
+        let (mut dw, mut db) = (vec![0.0f32; 750], vec![0.0f32; 10]);
+        conv2d_weight_grad(&x, &dy, &geo, &mut dw, &mut db);
+        (y, [dw, db].concat(), col2im(&cols, 10, 3, &geo))
     });
     for (t, p) in runs {
-        assert_eq!(s.0.as_slice(), p.0.as_slice(), "im2col at {t} threads");
-        assert_eq!(s.1.as_slice(), p.1.as_slice(), "col2im at {t} threads");
+        assert_eq!(
+            s.0.as_slice(),
+            p.0.as_slice(),
+            "conv forward at {t} threads"
+        );
+        assert_eq!(s.1, p.1, "conv parameter gradients at {t} threads");
+        assert_eq!(s.2.as_slice(), p.2.as_slice(), "col2im at {t} threads");
     }
 }
 
@@ -104,9 +118,10 @@ fn ppo_update_losses_and_actions_are_identical() {
 }
 
 /// Two SGD steps on the paper's MNIST CNN, returning the losses and the
-/// full parameter vector. The conv layers drive the blocked matmul kernel
-/// (im2col products are well past the flop threshold), so this pins down
-/// the whole forward/backward/update chain, not just isolated ops.
+/// full parameter vector. The conv layers run the direct kernels past
+/// their fan-out threshold and conv2's input gradient runs the blocked
+/// matmul kernel, so this pins down the whole forward/backward/update
+/// chain, not just isolated ops.
 fn cnn_train_steps() -> (Vec<f32>, Vec<f32>) {
     let mut rng = TensorRng::seed_from(21);
     let mut net = models::mnist_cnn(&mut rng);

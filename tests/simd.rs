@@ -17,7 +17,9 @@ use chiron_tensor::{
     MicroTile, ShapeKey, TensorRng,
 };
 
-/// The paper's conv im2col products (MNIST CNN forward shapes) plus one
+/// The MNIST CNN's convolutions as unrolled products (`N·P × C·k·k × K` at
+/// batch 10; the conv layers run them as direct kernels, which
+/// `chiron-tensor`'s conv tests check against the same fold) plus one
 /// deliberately ragged shape that divides none of the micro-tiles.
 const SHAPES: [(usize, usize, usize); 3] = [(5760, 25, 10), (640, 250, 20), (131, 260, 37)];
 
